@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-resize test-chaos test-parallel-sim test-lockfree test-wire test-speckit fuzz
+.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-resize test-chaos test-parallel-sim test-writers test-wire test-speckit test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -60,8 +60,8 @@ bench-scenario:
 	$(GO) run ./cmd/ucbench -exp scenario
 
 # bench-writers prints the E20 table: single-replica update throughput
-# under 1/2/4/8 in-process writers, mutex engine vs the lock-free
-# intake (WithLockFreeWriters), plus the contended-update Go benchmarks.
+# under 1/2/4/8 in-process writers, plus the contended-update Go
+# benchmarks.
 bench-writers:
 	$(GO) run ./cmd/ucbench -exp writers
 	$(GO) test -run xxx -bench ContendedUpdate -benchmem .
@@ -81,12 +81,11 @@ bench-wire:
 test-wire:
 	$(GO) test -race -run 'TestTCP|TestMailbox|Wire' ./internal/transport/ ./internal/core/ .
 
-# fuzz runs a short coverage-guided pass over the byte-level decoders
-# that face the network: the wire-frame envelope codec and the batch
-# frame iterator. The seed corpora also run under plain `go test`.
+# fuzz runs a short coverage-guided pass over the byte-level decoder
+# that faces the network: the wire-frame envelope codec. The seed
+# corpus also runs under plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport/
-	$(GO) test -run '^$$' -fuzz FuzzBatchFrame -fuzztime 10s ./internal/core/
 
 # test-parallel-sim runs the parallel-adversary suite under the race
 # detector: the transport's sharded stepper vs the sequential one, the
@@ -101,13 +100,20 @@ test-parallel-sim:
 test-resize:
 	$(GO) test -race -run 'Resize|Reshard' ./internal/core/ ./internal/bench/ .
 
-# test-lockfree runs the lock-free writer-path suite under the race
-# detector: the mutex-oracle equivalence tests (deterministic and
-# concurrent, every object kind), epoch-reclamation boundedness, the
-# flush-on-read and session guarantees, and the public-API option
-# gates.
-test-lockfree:
-	$(GO) test -race -run 'LockFree|Loopback|TickN' ./internal/core/ ./internal/clock/ .
+# test-writers runs the concurrent-writer suite under the race
+# detector: many goroutines writing through one replica handle while
+# readers query, checked against exact-sum and sequential-fold oracles
+# for every object kind, plus sharded resizes mid-stream, session
+# guarantees and the loopback self-delivery stash.
+test-writers:
+	$(GO) test -race -run 'ConcurrentWriters|Loopback' ./internal/core/ .
+
+# test-ucperf runs the benchmark harness's own tests under the race
+# detector. ucperf is a separate Go module that assembles its traced
+# cluster from internal packages, so `go test ./...` at the root never
+# compiles it against changes there.
+test-ucperf:
+	cd ucperf && $(GO) test -race ./...
 
 # test-speckit runs the open object-definition kit under the race
 # detector: the public spectest conformance harness over every built-in

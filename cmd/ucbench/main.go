@@ -70,9 +70,21 @@ type report struct {
 }
 
 // trajectory is the BENCH_ucbench.json shape: one entry per recorded
-// run, labeled per PR.
+// run, labeled per PR. Runs stay raw JSON so a recorded entry is kept
+// exactly as written, even after an experiment's result type changes.
 type trajectory struct {
-	Runs []report `json:"runs"`
+	Runs []json.RawMessage `json:"runs"`
+}
+
+// runLabel reads the label of one raw trajectory entry.
+func runLabel(run json.RawMessage) string {
+	var r struct {
+		Label string `json:"label"`
+	}
+	// Every run was parsed from or encoded as JSON already; one that is
+	// not an object has no label and sorts first.
+	_ = json.Unmarshal(run, &r)
+	return r.Label
 }
 
 // loadTrajectory reads an existing trajectory file; a legacy
@@ -97,29 +109,29 @@ func loadTrajectory(path string) (trajectory, error) {
 		if legacy.Label == "" {
 			legacy.Label = "pr2"
 		}
-		return trajectory{Runs: []report{legacy}}, nil
+		run, err := json.Marshal(legacy)
+		if err != nil {
+			return trajectory{}, err
+		}
+		return trajectory{Runs: []json.RawMessage{run}}, nil
 	}
 	return trajectory{}, fmt.Errorf("%s is neither a trajectory nor a legacy report; refusing to overwrite it", path)
 }
 
-// upsert replaces the run with rep's label, or appends it, and keeps
-// the runs sorted by label so regenerating the file diffs cleanly
-// whatever order labels were recorded in.
-func (tr *trajectory) upsert(rep report) {
-	for i := range tr.Runs {
-		if tr.Runs[i].Label == rep.Label {
-			tr.Runs[i] = rep
-			tr.sort()
-			return
-		}
+// upsert replaces the run with the given label, or appends it, and
+// keeps the runs sorted by label so regenerating the file diffs
+// cleanly whatever order labels were recorded in.
+func (tr *trajectory) upsert(label string, run json.RawMessage) {
+	i := 0
+	for i < len(tr.Runs) && runLabel(tr.Runs[i]) != label {
+		i++
 	}
-	tr.Runs = append(tr.Runs, rep)
-	tr.sort()
-}
-
-func (tr *trajectory) sort() {
+	if i == len(tr.Runs) {
+		tr.Runs = append(tr.Runs, nil)
+	}
+	tr.Runs[i] = run
 	sort.SliceStable(tr.Runs, func(i, j int) bool {
-		return labelLess(tr.Runs[i].Label, tr.Runs[j].Label)
+		return labelLess(runLabel(tr.Runs[i]), runLabel(tr.Runs[j]))
 	})
 }
 
@@ -371,7 +383,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ucbench: reading %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
-		tr.upsert(rep)
+		run, err := json.Marshal(rep)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ucbench: encoding JSON report: %v\n", err)
+			os.Exit(1)
+		}
+		tr.upsert(rep.Label, run)
 		data, err := json.MarshalIndent(tr, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ucbench: encoding JSON report: %v\n", err)

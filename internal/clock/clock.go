@@ -111,15 +111,6 @@ func (l *AtomicLamport) Now() uint64 { return l.now.Load() }
 // Tick advances the clock for a local event and returns the new value.
 func (l *AtomicLamport) Tick() uint64 { return l.now.Add(1) }
 
-// TickN atomically reserves k consecutive stamps and returns the
-// highest: the caller owns the range [TickN(k)-k+1, TickN(k)]. One
-// atomic add issues timestamps for a whole batch of updates, so a
-// drain stage folding many concurrent appends pays one clock operation
-// instead of k — and no other event (a concurrent query tick, a remote
-// observation) can be stamped inside the reserved range, because the
-// clock has already moved past it.
-func (l *AtomicLamport) TickN(k uint64) uint64 { return l.now.Add(k) }
-
 // Observe merges a remote clock value (clock <- max(clock, remote)).
 func (l *AtomicLamport) Observe(remote uint64) {
 	for {

@@ -3,7 +3,6 @@ package clock
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -207,54 +206,5 @@ func TestQuickStabilityNeverExceedsTrueMin(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAtomicLamportTickN(t *testing.T) {
-	// TickN reserves a contiguous stamp block: the lock-free drain
-	// stamps a whole batch with one clock operation. TickN(k) returns
-	// the highest stamp of the block [hi-k+1, hi], and the block never
-	// overlaps a concurrent Tick or TickN.
-	var l AtomicLamport
-	if hi := l.TickN(3); hi != 3 {
-		t.Fatalf("TickN(3) on a fresh clock = %d, want 3", hi)
-	}
-	if l.Tick() != 4 {
-		t.Fatalf("tick after TickN did not continue the sequence")
-	}
-	l.Observe(100)
-	if hi := l.TickN(5); hi != 105 {
-		t.Fatalf("TickN(5) after Observe(100) = %d, want 105", hi)
-	}
-
-	// Concurrent reservations partition the stamp space: every block is
-	// disjoint from every other.
-	var l2 AtomicLamport
-	const goroutines, blocks, k = 8, 50, 7
-	his := make([][]uint64, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < blocks; i++ {
-				his[g] = append(his[g], l2.TickN(k))
-			}
-		}(g)
-	}
-	wg.Wait()
-	used := map[uint64]bool{}
-	for _, hs := range his {
-		for _, hi := range hs {
-			for c := hi - k + 1; c <= hi; c++ {
-				if used[c] {
-					t.Fatalf("stamp %d reserved twice", c)
-				}
-				used[c] = true
-			}
-		}
-	}
-	if want := uint64(goroutines * blocks * k); l2.Now() != want {
-		t.Fatalf("clock at %d after %d reservations, want %d", l2.Now(), goroutines*blocks, want)
 	}
 }

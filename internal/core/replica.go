@@ -74,9 +74,6 @@ type Replica struct {
 	// (spec.QueryKeyer); it enables the query-output cache below.
 	qkeyer spec.QueryKeyer
 	qc     queryCache
-	// lf is the lock-free ingestion engine (Config.LockFree); nil on
-	// the default mutex path. See lockfree.go.
-	lf *lfIntake
 	// selfTS/selfU/selfPayload stash the last update issued by
 	// UpdateTimestamped (guarded by mu): the transport's inline
 	// self-delivery re-enters handle with the very payload just
@@ -175,14 +172,6 @@ type Config struct {
 	// Recorder, when set, records this replica's operations for the
 	// consistency deciders.
 	Recorder *history.Recorder
-	// LockFree replaces the mutex ingestion path with the lock-free
-	// intake/drain engine (see lockfree.go): local appends become a
-	// fetch-add claim plus an atomic publish, and whichever writer
-	// holds the drain token folds every published update into the log
-	// and broadcast machinery in batches. Requires a transport that is
-	// safe for concurrent Broadcast calls (the live transport is; the
-	// simulated one is single-driver by design).
-	LockFree bool
 }
 
 // NewReplica builds the replica and attaches it to the transport.
@@ -217,9 +206,6 @@ func NewReplica(cfg Config) *Replica {
 	}
 	r.acodec, _ = codec.(spec.AppendCodec)
 	r.qkeyer, _ = cfg.ADT.(spec.QueryKeyer)
-	if cfg.LockFree {
-		r.lf = newLFIntake()
-	}
 	if cfg.GC {
 		r.stab = clock.NewStability(cfg.N, cfg.ID)
 	}
@@ -235,19 +221,10 @@ func (r *Replica) ID() int { return r.id }
 func (r *Replica) ADT() spec.UQADT { return r.adt }
 
 // Update implements lines 4–7 of Algorithm 1: stamp the update with
-// (clock+1, id) and reliably broadcast it. On the mutex engine the
-// state change lands via the broadcast's self-delivery, so the update
-// is locally visible when Update returns. On the lock-free engine
-// (Config.LockFree) Update announces and returns — the fold happens in
-// a deferred, batched drain — and local visibility is guaranteed at
-// the next read instead, which flushes the intake first; callers that
-// need the fold completed (and its timestamp) before proceeding use
-// UpdateTimestamped.
+// (clock+1, id) and reliably broadcast it. The state change lands via
+// the broadcast's self-delivery, so the update is locally visible when
+// Update returns.
 func (r *Replica) Update(u spec.Update) {
-	if r.lf != nil {
-		r.updateLockFreeAsync(u)
-		return
-	}
 	r.UpdateTimestamped(u)
 }
 
@@ -280,7 +257,6 @@ func (r *Replica) Query(in spec.QueryInput) spec.QueryOutput {
 // (cacheable) query share one lock acquisition, so a covered session
 // read costs a raw read.
 func (r *Replica) queryCovered(cover clock.Vector, in spec.QueryInput) (spec.QueryOutput, bool) {
-	r.flushIntake()
 	key, cacheable := spec.QueryCacheKey{}, false
 	if r.qkeyer != nil {
 		key, cacheable = r.qkeyer.QueryInputKey(in)
@@ -383,7 +359,6 @@ func (r *Replica) ReadState(f func(spec.State)) {
 // pair is consistent. The sharded merged-state cache keys each shard's
 // cached contribution on it.
 func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
-	r.flushIntake()
 	r.mu.RLock()
 	if s, ok := r.engine.StateConcurrent(); ok {
 		f(s, r.log.Version())
@@ -401,7 +376,6 @@ func (r *Replica) ReadStateAt(f func(s spec.State, ver uint64)) {
 // log). Two equal Version results bracket a window with no log
 // mutation.
 func (r *Replica) Version() uint64 {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.log.Version()
@@ -411,7 +385,6 @@ func (r *Replica) Version() uint64 {
 // converged (ω) observation. The simulation harness calls it once per
 // replica after quiescence.
 func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
-	r.flushIntake()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clk.Tick()
@@ -432,16 +405,6 @@ func (r *Replica) QueryOmega(in spec.QueryInput) spec.QueryOutput {
 // messages on our link, which would let the horizon pass an update
 // that has not arrived yet.
 func (r *Replica) handle(from int, payload []byte) {
-	if r.lf != nil {
-		// Lock-free mode: every broadcast is a drain's batch frame. The
-		// replica's own frames carry nothing new — the drain inserted
-		// their entries (and fed the stability tracker) before
-		// broadcasting.
-		if from != r.id {
-			r.handleBatch(from, payload)
-		}
-		return
-	}
 	if from == r.id && r.handleLoopback(payload) {
 		return
 	}
@@ -601,7 +564,6 @@ func (r *Replica) Stats() Stats {
 // cluster costs one version compare per call instead of a full state
 // serialization.
 func (r *Replica) StateKey() string {
-	r.flushIntake()
 	r.mu.RLock()
 	if r.fpOK && r.fpVer == r.log.Version() {
 		k := r.fpKey
@@ -622,13 +584,8 @@ func (r *Replica) StateKey() string {
 }
 
 // UpdateTimestamped is Update returning the timestamp assigned to the
-// update; sessions use it to record their own writes. On a lock-free
-// replica (Config.LockFree) it routes through the intake/drain engine;
-// the returned timestamp is the one the drain assigned.
+// update; sessions use it to record their own writes.
 func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
-	if r.lf != nil {
-		return r.updateLockFree(u)
-	}
 	r.mu.Lock()
 	cl := r.clk.Tick()
 	if r.stab != nil {
@@ -657,31 +614,24 @@ func (r *Replica) UpdateTimestamped(u spec.Update) clock.Timestamp {
 // (caller holds the lock); only the final payload — which the
 // transport retains until delivery — is allocated.
 func (r *Replica) encode(ts clock.Timestamp, u spec.Update) []byte {
-	scratch := r.appendMessage(r.enc[:0], ts, u)
+	scratch := ts.Encode(r.enc[:0])
+	if r.acodec != nil {
+		var err error
+		scratch, err = r.acodec.AppendUpdate(scratch, u)
+		if err != nil {
+			panic(fmt.Sprintf("core: cannot encode update: %v", err))
+		}
+	} else {
+		op, err := r.codec.EncodeUpdate(u)
+		if err != nil {
+			panic(fmt.Sprintf("core: cannot encode update: %v", err))
+		}
+		scratch = append(scratch, op...)
+	}
 	r.enc = scratch[:0]
 	payload := make([]byte, len(scratch))
 	copy(payload, scratch)
 	return payload
-}
-
-// appendMessage appends the wire encoding of message(ts, id, u) to dst
-// and returns the extended slice; encode and the lock-free drain (which
-// stages a whole batch in one buffer) share it.
-func (r *Replica) appendMessage(dst []byte, ts clock.Timestamp, u spec.Update) []byte {
-	dst = ts.Encode(dst)
-	if r.acodec != nil {
-		var err error
-		dst, err = r.acodec.AppendUpdate(dst, u)
-		if err != nil {
-			panic(fmt.Sprintf("core: cannot encode update: %v", err))
-		}
-		return dst
-	}
-	op, err := r.codec.EncodeUpdate(u)
-	if err != nil {
-		panic(fmt.Sprintf("core: cannot encode update: %v", err))
-	}
-	return append(dst, op...)
 }
 
 // decode parses an update message.
@@ -709,7 +659,7 @@ func Cluster(n int, adt spec.UQADT, net transport.Network, opt ClusterOptions) [
 		reps[i] = NewReplica(Config{
 			ID: i, N: n, ADT: adt, Codec: opt.Codec, Net: net,
 			Engine: eng, GC: opt.GC, GCEvery: opt.GCEvery,
-			Recorder: opt.Recorder, LockFree: opt.LockFree,
+			Recorder: opt.Recorder,
 		})
 	}
 	return reps
@@ -728,6 +678,4 @@ type ClusterOptions struct {
 	GCEvery int
 	// Recorder records all replicas' operations when set.
 	Recorder *history.Recorder
-	// LockFree selects the lock-free writer engine (Config.LockFree).
-	LockFree bool
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -301,4 +302,44 @@ func codecSansCodec() spec.UQADT {
 	return struct {
 		spec.UQADT
 	}{spec.Counter()}
+}
+
+// countingCounterSpec wraps the counter spec and counts DecodeUpdate
+// calls — the probe for the self-delivery fast path below.
+type countingCounterSpec struct {
+	spec.CounterSpec
+	decodes *atomic.Uint64
+}
+
+func (c countingCounterSpec) DecodeUpdate(b []byte) (spec.Update, error) {
+	c.decodes.Add(1)
+	return c.CounterSpec.DecodeUpdate(b)
+}
+
+// TestLoopbackSkipsSelfDecode guards the mutex write path's loopback
+// stash: the transport's inline self-delivery re-enters handle with
+// the very payload Update just encoded, and the replica must recognize
+// it by slice identity instead of decoding its own bytes back. A
+// single-writer replica therefore performs zero update decodes for its
+// own traffic; only its peer decodes.
+func TestLoopbackSkipsSelfDecode(t *testing.T) {
+	net := transport.NewLive(2)
+	defer net.Close()
+	var dec0, dec1 atomic.Uint64
+	r0 := NewReplica(Config{ID: 0, N: 2, ADT: countingCounterSpec{decodes: &dec0}, Net: net})
+	NewReplica(Config{ID: 1, N: 2, ADT: countingCounterSpec{decodes: &dec1}, Net: net})
+	const ops = 50
+	for i := 0; i < ops; i++ {
+		r0.Update(spec.Add{N: 1})
+	}
+	net.Drain()
+	if got := dec0.Load(); got != 0 {
+		t.Fatalf("writer decoded %d of its own payloads, want 0 (loopback stash)", got)
+	}
+	if got := dec1.Load(); got != ops {
+		t.Fatalf("peer decoded %d payloads, want %d", got, ops)
+	}
+	if got := int64(r0.Query(spec.Read{}).(spec.CtrVal)); got != ops {
+		t.Fatalf("writer state %d, want %d", got, ops)
+	}
 }

@@ -209,7 +209,6 @@ func (s *ShardedSession) Covered() bool {
 // process j, a clock c such that the replica holds every update of j
 // with clock ≤ c.
 func (r *Replica) Coverage() clock.Vector {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cov := clock.NewVector(len(r.originMax))

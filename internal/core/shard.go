@@ -61,7 +61,6 @@ type ShardedReplica struct {
 	newEngine func() Engine
 	gc        bool
 	gcEvery   int
-	lockfree  bool
 	// rnet is the epoch-aware transport; nil when the network does not
 	// implement transport.ResizableNetwork, in which case the replica
 	// runs in the legacy per-shard-handler mode and Resize is
@@ -165,9 +164,6 @@ type ShardedConfig struct {
 	// runs must record at the harness level instead (as internal/sim and
 	// the public updatec package do).
 	Recorder *history.Recorder
-	// LockFree selects the lock-free writer engine for every per-shard
-	// replica (Config.LockFree); resizes carry it into the new shards.
-	LockFree bool
 }
 
 // NewShardedReplica builds the per-shard replicas and attaches the
@@ -194,7 +190,6 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		newEngine: cfg.NewEngine,
 		gc:        cfg.GC,
 		gcEvery:   cfg.GCEvery,
-		lockfree:  cfg.LockFree,
 	}
 	if r.codec = cfg.Codec; r.codec == nil {
 		r.codec, _ = cfg.ADT.(spec.Codec)
@@ -218,7 +213,7 @@ func NewShardedReplica(cfg ShardedConfig) *ShardedReplica {
 		g.shards[s] = NewReplica(Config{
 			ID: cfg.ID, N: cfg.N, ADT: cfg.ADT, Codec: r.codec, Net: net,
 			Engine: eng, GC: cfg.GC, GCEvery: cfg.GCEvery,
-			Recorder: cfg.Recorder, LockFree: cfg.LockFree,
+			Recorder: cfg.Recorder,
 		})
 		if part != nil {
 			g.shards[s].log.SetTieKey(part.UpdateKey)
@@ -298,22 +293,6 @@ func (r *ShardedReplica) route(from, shard, epoch int, payload []byte) {
 		g.shards[shard].handle(from, payload)
 		return
 	}
-	if r.lockfree {
-		// Lock-free shards broadcast batch frames: land each message of
-		// the cross-epoch frame in the shard owning its key.
-		f, err := openBatchFrame(payload)
-		if err != nil {
-			panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch batch: %v", r.id, err))
-		}
-		for i := uint64(0); i < f.count; i++ {
-			msg, err := f.next()
-			if err != nil {
-				panic(fmt.Sprintf("core: replica %d: corrupt cross-epoch batch: %v", r.id, err))
-			}
-			r.absorbCrossEpoch(g, msg)
-		}
-		return
-	}
 	r.absorbCrossEpoch(g, payload)
 }
 
@@ -340,36 +319,6 @@ func (r *ShardedReplica) absorbCrossEpoch(g *shardGen, payload []byte) {
 	// not apply (see Replica.Absorb).
 	g.shards[dst].Absorb(ts, u)
 }
-
-// FlushIntake folds and broadcasts every shard's announced lock-free
-// updates (no-op on mutex-engine shards).
-func (r *ShardedReplica) FlushIntake() {
-	for _, s := range r.gen.Load().shards {
-		s.FlushIntake()
-	}
-}
-
-// IntakeStats sums the lock-free intake counters over the current
-// shards (zero on the mutex engine).
-func (r *ShardedReplica) IntakeStats() IntakeStats {
-	var sum IntakeStats
-	for _, s := range r.gen.Load().shards {
-		st := s.IntakeStats()
-		sum.Appended += st.Appended
-		sum.Drained += st.Drained
-		sum.Batches += st.Batches
-		sum.Retired += st.Retired
-		sum.Segments += st.Segments
-		sum.LiveSegments += st.LiveSegments
-		if st.MaxBatch > sum.MaxBatch {
-			sum.MaxBatch = st.MaxBatch
-		}
-	}
-	return sum
-}
-
-// LockFree reports whether the shards run the lock-free intake.
-func (r *ShardedReplica) LockFree() bool { return r.lockfree }
 
 // ID returns the process id.
 func (r *ShardedReplica) ID() int { return r.id }
@@ -757,11 +706,6 @@ func ResizeCluster(reps []*ShardedReplica, newShards int, drain func()) {
 			r.routeMu.Unlock()
 		}
 	}()
-	// Fold announced-but-undrained lock-free updates first, so their
-	// broadcasts are in flight before the drain below settles them.
-	for _, r := range reps {
-		r.FlushIntake()
-	}
 	if drain != nil {
 		drain()
 	}
@@ -777,11 +721,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 	old := r.gen.Load()
 	if newShards == len(old.shards) {
 		return
-	}
-	// The move replays each old shard's log; announced-but-undrained
-	// lock-free updates must be in those logs first.
-	for _, s := range old.shards {
-		s.FlushIntake()
 	}
 	// Mirror the constructor's recording guard: a 1-shard replica may
 	// carry a replica-level recorder, but the new shards are built
@@ -800,7 +739,6 @@ func (r *ShardedReplica) resizeLocked(newShards int) {
 			ID: r.id, N: r.n, ADT: r.adt, Codec: r.codec,
 			Net:    epochChannel{net: r.rnet, shard: s, epoch: newShards},
 			Engine: eng, GC: r.gc, GCEvery: r.gcEvery,
-			LockFree: r.lockfree,
 		})
 		rep.log.SetTieKey(r.part.UpdateKey)
 		next.shards[s] = rep
@@ -933,7 +871,7 @@ func ShardedCluster(n, shards int, adt spec.UQADT, net transport.Network, opt Cl
 		reps[i] = NewShardedReplica(ShardedConfig{
 			ID: i, N: n, Shards: shards, ADT: adt, Codec: opt.Codec, Net: net,
 			NewEngine: opt.NewEngine, GC: opt.GC, GCEvery: opt.GCEvery,
-			Recorder: opt.Recorder, LockFree: opt.LockFree,
+			Recorder: opt.Recorder,
 		})
 	}
 	return reps

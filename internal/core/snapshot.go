@@ -38,7 +38,6 @@ import (
 
 // Snapshot serializes the replica's replicated state.
 func (r *Replica) Snapshot() ([]byte, error) {
-	r.flushIntake()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var buf bytes.Buffer

@@ -90,7 +90,6 @@ func mix64(x uint64) uint64 {
 
 // Digest summarizes the replica's log for an anti-entropy pull.
 func (r *Replica) Digest() Digest {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d := Digest{Ver: r.log.Version(), Origins: make([]OriginDigest, r.n)}
@@ -135,7 +134,6 @@ func originOf(d Digest, j int) OriginDigest {
 // when this donor's own compaction horizon is above d.Base: part of
 // what the peer is missing exists here only folded into state.
 func (r *Replica) SyncReply(d Digest) ([]byte, error) {
-	r.flushIntake()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	_, baseTS := r.log.Base()

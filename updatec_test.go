@@ -414,40 +414,3 @@ func TestHistoryWithoutRecordingErrs(t *testing.T) {
 		t.Fatalf("History without WithRecording must fail")
 	}
 }
-
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	// The pre-generic constructors are thin shims over New; a caller
-	// written against them must keep working, sessions included.
-	cluster, sets, err := NewSetCluster(2, WithSeed(53))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets[0].Insert("x")
-	sess := cluster.NewSetSession(0)
-	sess.Insert("y")
-	if _, ok := sess.TryElements(); !ok {
-		t.Fatalf("own replica must serve the session")
-	}
-	sess.Switch(1)
-	if _, ok := sess.TryElements(); ok {
-		t.Fatalf("stale replica must refuse the session")
-	}
-	cluster.Settle()
-	elems, ok := sess.TryElements()
-	if !ok || strings.Join(elems, ",") != "x,y" {
-		t.Fatalf("settled session read wrong: %v %v", elems, ok)
-	}
-	if !cluster.Converged() {
-		t.Fatalf("shim cluster diverged")
-	}
-
-	clusterM, mems, err := NewMemoryCluster(2, "0", WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mems[0].Write("k", "v")
-	clusterM.Settle()
-	if mems[1].Read("k") != "v" {
-		t.Fatalf("shim memory cluster lost a write")
-	}
-}

@@ -2,49 +2,15 @@ package updatec
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
 
-// TestWithLockFreeWritersValidation pins the option's contract at the
-// public surface: the lock-free intake rides the live transport's
-// concurrent broadcasts, so it refuses the single-goroutine simulated
-// adversary, and it replaces Algorithm 1's ingestion mutex, so it
-// refuses the Algorithm 2 memory object that has none.
-func TestWithLockFreeWritersValidation(t *testing.T) {
-	if _, _, err := New(3, SetObject(), WithSeed(7), WithLockFreeWriters()); err == nil {
-		t.Fatal("WithLockFreeWriters with WithSeed did not error")
-	} else if !strings.Contains(err.Error(), "WithLockFreeWriters") {
-		t.Fatalf("error does not name the offending option: %v", err)
-	}
-	if _, _, err := New(3, MemoryObject(""), WithLockFreeWriters()); err == nil {
-		t.Fatal("WithLockFreeWriters on MemoryObject did not error")
-	} else if !strings.Contains(err.Error(), "WithLockFreeWriters") {
-		t.Fatalf("error does not name the offending option: %v", err)
-	}
-	plain, _, err := New(3, CounterObject(), WithLockFreeWriters())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Close()
-	sharded, _, err := New(3, CounterMapObject(), WithShards(4), WithLockFreeWriters())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded.Close()
-	gc, _, err := New(3, CounterObject(), WithGC(), WithLockFreeWriters())
-	if err != nil {
-		t.Fatalf("WithGC + WithLockFreeWriters should compose: %v", err)
-	}
-	gc.Close()
-}
-
-// TestLockFreeAllObjectKindsConverge drives every generic object kind
-// through a lock-free cluster with concurrent writers on every handle
-// and requires convergence after Settle — the public-API analogue of
-// the core package's oracle tests, run under -race in CI.
-func TestLockFreeAllObjectKindsConverge(t *testing.T) {
+// TestConcurrentWritersAllObjectKindsConverge drives every generic
+// object kind with concurrent writers on every handle and requires
+// convergence after Settle — the public-API analogue of the core
+// package's concurrent-writer oracles, run under -race in CI.
+func TestConcurrentWritersAllObjectKindsConverge(t *testing.T) {
 	const n = 3
 	// Each case builds its own cluster so the handle types stay
 	// concrete; the workload shape is shared: every replica's handle is
@@ -68,7 +34,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 	}
 
 	t.Run("set", func(t *testing.T) {
-		cluster, hs, err := New(n, SetObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, SetObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +47,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 		}, func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("counter", func(t *testing.T) {
-		cluster, hs, err := New(n, CounterObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, CounterObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +56,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 			func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("register", func(t *testing.T) {
-		cluster, hs, err := New(n, RegisterObject("r0"), WithLockFreeWriters())
+		cluster, hs, err := New(n, RegisterObject("r0"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +65,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 			func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("textlog", func(t *testing.T) {
-		cluster, hs, err := New(n, TextLogObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, TextLogObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +74,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 			func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("graph", func(t *testing.T) {
-		cluster, hs, err := New(n, GraphObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, GraphObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +94,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 		}, func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("sequence", func(t *testing.T) {
-		cluster, hs, err := New(n, SequenceObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, SequenceObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +108,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 		}, func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("kv", func(t *testing.T) {
-		cluster, hs, err := New(n, KVObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, KVObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +117,7 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 			func() bool { cluster.Settle(); return cluster.Converged() })
 	})
 	t.Run("countermap", func(t *testing.T) {
-		cluster, hs, err := New(n, CounterMapObject(), WithLockFreeWriters())
+		cluster, hs, err := New(n, CounterMapObject())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,51 +127,44 @@ func TestLockFreeAllObjectKindsConverge(t *testing.T) {
 	})
 }
 
-// TestLockFreeCounterSumOracle is the public-API exact oracle: with
-// concurrent writers on every replica of both engines, the counter
-// must converge to the same known sum — nothing announced may be lost,
-// duplicated, or misfolded by the lock-free intake.
-func TestLockFreeCounterSumOracle(t *testing.T) {
+// TestConcurrentWritersCounterSumOracle is the public-API exact
+// oracle: with concurrent writers on every replica, the counter must
+// converge to the known sum — nothing issued may be lost, duplicated,
+// or misfolded.
+func TestConcurrentWritersCounterSumOracle(t *testing.T) {
 	const n, perHandle = 3, 300
-	run := func(opts ...Option) int64 {
-		cluster, hs, err := New(n, CounterObject(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Close()
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for k := 0; k < perHandle; k++ {
-					hs[i].Add(int64(i + 1))
-				}
-			}(i)
-		}
-		wg.Wait()
-		cluster.Settle()
-		if !cluster.Converged() {
-			t.Fatal("cluster did not converge")
-		}
-		return hs[0].Value()
+	cluster, hs, err := New(n, CounterObject())
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := int64(perHandle * (1 + 2 + 3))
-	if got := run(WithLockFreeWriters()); got != want {
-		t.Fatalf("lock-free sum %d, want %d", got, want)
+	defer cluster.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < perHandle; k++ {
+				hs[i].Add(int64(i + 1))
+			}
+		}(i)
 	}
-	if got := run(); got != want {
-		t.Fatalf("mutex sum %d, want %d", got, want)
+	wg.Wait()
+	cluster.Settle()
+	if !cluster.Converged() {
+		t.Fatal("cluster did not converge")
+	}
+	if got, want := hs[0].Value(), int64(perHandle*(1+2+3)); got != want {
+		t.Fatalf("sum %d, want %d", got, want)
 	}
 }
 
-// TestLockFreeShardedResize drives a sharded lock-free cluster with
-// concurrent writers while the shard count changes mid-stream: the
-// resize must flush every shard's intake before moving entries, so the
-// final per-key sums stay exact.
-func TestLockFreeShardedResize(t *testing.T) {
+// TestConcurrentWritersShardedResize drives a sharded cluster with
+// concurrent writers while the shard count changes mid-stream: every
+// update issued before, during and after the moves must land in its
+// owning shard exactly once, so the final per-key sums stay exact.
+func TestConcurrentWritersShardedResize(t *testing.T) {
 	const n, perHandle, keys = 3, 200, 8
-	cluster, hs, err := New(n, CounterMapObject(), WithShards(2), WithLockFreeWriters())
+	cluster, hs, err := New(n, CounterMapObject(), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +189,7 @@ func TestLockFreeShardedResize(t *testing.T) {
 	wg.Wait()
 	cluster.Settle()
 	if !cluster.Converged() {
-		t.Fatal("sharded lock-free cluster did not converge after resizes")
+		t.Fatal("sharded cluster did not converge after resizes")
 	}
 	var total int64
 	for k := 0; k < keys; k++ {
@@ -241,13 +200,13 @@ func TestLockFreeShardedResize(t *testing.T) {
 	}
 }
 
-// TestLockFreeSessionGuarantees checks that sessions (which use the
-// synchronous, timestamp-returning update path) compose with the
-// lock-free engine: a session write is immediately readable through
-// the session, and after failing over to a settled replica the
-// session's reads still cover everything it wrote.
-func TestLockFreeSessionGuarantees(t *testing.T) {
-	cluster, _, err := New(3, CounterObject(), WithLockFreeWriters())
+// TestConcurrentWritersSessionGuarantees checks that sessions (which
+// use the timestamp-returning update path) keep their guarantees: a
+// session write is immediately readable through the session, and
+// after failing over to a settled replica the session's reads still
+// cover everything it wrote.
+func TestConcurrentWritersSessionGuarantees(t *testing.T) {
+	cluster, _, err := New(3, CounterObject())
 	if err != nil {
 		t.Fatal(err)
 	}
