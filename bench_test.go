@@ -522,6 +522,44 @@ func BenchmarkLogInsertLate(b *testing.B) {
 	}
 }
 
+// BenchmarkApplySyncBacklog measures anti-entropy repair after a
+// partition: the receiver's own k entries and the donor's k missing
+// ones interleave by timestamp, so nearly every synced entry sorts
+// inside the receiver's log — the heal shape. ns/entry must stay flat
+// as k doubles; a per-entry shifted insert would double it instead.
+func BenchmarkApplySyncBacklog(b *testing.B) {
+	adt := spec.CounterMap()
+	mk := func(id int, k int) *core.Replica {
+		net := transport.NewSim(transport.SimOptions{N: 2, Seed: 1})
+		r := core.NewReplica(core.Config{ID: id, N: 2, ADT: adt, Net: net})
+		for i := 0; i < k; i++ {
+			c := uint64(2*i + 1 + id)
+			r.Absorb(clock.Timestamp{Clock: c, Proc: id}, spec.AddKey{K: fmt.Sprint(c % 64), N: 1})
+		}
+		return r
+	}
+	for _, k := range []int{10000, 20000, 40000} {
+		b.Run(fmt.Sprintf("backlog=%d", k), func(b *testing.B) {
+			donor := mk(1, k)
+			payload, err := donor.SyncReply(mk(0, 0).Digest())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := mk(0, k)
+				b.StartTimer()
+				if n, err := r.ApplySync(payload); err != nil || n != k {
+					b.Fatalf("applied %d of %d: %v", n, k, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/entry")
+		})
+	}
+}
+
 // BenchmarkLogCompact measures steady-state compaction: entries stream
 // in at the tail and the stable prefix is folded away in chunks.
 func BenchmarkLogCompact(b *testing.B) {

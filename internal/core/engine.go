@@ -27,8 +27,10 @@ type Engine interface {
 	// and again after log compaction (the engine must drop caches that
 	// referenced compacted entries).
 	Bind(adt spec.UQADT, log *Log)
-	// Inserted notifies the engine that log.Entries()[at] was just
-	// inserted.
+	// Inserted notifies the engine that one or more entries just landed
+	// at positions ≥ at; the prefix log.Entries()[:at] is unchanged. A
+	// single insert reports its own position, a batch merge
+	// (Log.MergeDedup) its lowest one.
 	Inserted(at int)
 	// State returns the state after all live entries (on top of the
 	// log's base). The caller treats it as read-only and does not
@@ -132,8 +134,8 @@ func (e *CheckpointEngine) Bind(adt spec.UQADT, log *Log) {
 	e.marks = e.marks[:0]
 }
 
-// Inserted implements Engine: snapshots at or after the insertion
-// point are stale.
+// Inserted implements Engine: snapshots past the insertion point are
+// stale; a mark covering at most the unchanged prefix stays valid.
 func (e *CheckpointEngine) Inserted(at int) {
 	keep := len(e.marks)
 	for keep > 0 && e.marks[keep-1].n > at {
@@ -210,8 +212,9 @@ func (e *CheckpointEngine) StateConcurrent() (spec.State, bool) {
 // entry; a late insertion at position p undoes the suffix beyond p,
 // applies the new update, and redoes the suffix — the Karsenty &
 // Beaudouin-Lafon scheme cited in §VII-C. O(1) per in-order insert and
-// query; O(suffix) per late insert. Requires a spec implementing
-// spec.Undoable.
+// query; O(suffix) per late insert, and O(suffix) for a whole merged
+// batch notified once at its lowest position. Requires a spec
+// implementing spec.Undoable.
 type UndoEngine struct {
 	adt   spec.UQADT
 	und   spec.Undoable
@@ -246,9 +249,9 @@ func (e *UndoEngine) Bind(adt spec.UQADT, log *Log) {
 // Inserted implements Engine.
 func (e *UndoEngine) Inserted(at int) {
 	entries := e.log.Entries()
-	// Undo the suffix that now sits after the new entry. Before the
-	// insertion the engine had applied len(entries)-1 updates; entries
-	// [at+1:] are the displaced ones.
+	// Undo everything the engine applied past the unchanged prefix
+	// entries[:at], then redo from at: the new entries and the displaced
+	// ones alike.
 	for len(e.undos) > at {
 		e.state = e.undos[len(e.undos)-1](e.state)
 		e.undos = e.undos[:len(e.undos)-1]

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,44 @@ func TestQuickEnginesAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnginesBatchNotification: one Inserted(first) after a batch merge
+// must leave every engine in the state the per-entry notifications
+// reach — the contract "entries landed at positions ≥ at, the prefix
+// before at is unchanged". The engines are queried between rounds so
+// checkpoint marks and undo closures are live when the batch lands.
+func TestEnginesBatchNotification(t *testing.T) {
+	engines := []func() Engine{
+		func() Engine { return NewReplayEngine() },
+		func() Engine { return NewCheckpointEngine(2) },
+		func() Engine { return NewUndoEngine() },
+	}
+	adt := spec.Set()
+	for seed := int64(0); seed < 50; seed++ {
+		for _, mk := range engines {
+			script := randomScript(rand.New(rand.NewSource(seed)), 40)
+			eachLog, batchLog := NewLog(adt), NewLog(adt)
+			each, batch := mk(), mk()
+			each.Bind(adt, eachLog)
+			batch.Bind(adt, batchLog)
+			for round := 0; len(script) > 0; round++ {
+				k := min(len(script), 1+round*3)
+				chunk := script[:k]
+				script = script[k:]
+				for _, e := range chunk {
+					each.Inserted(eachLog.Insert(e))
+				}
+				if applied, _, first := batchLog.MergeDedup(slices.Clone(chunk)); applied > 0 {
+					batch.Inserted(first)
+				}
+				if got, want := adt.KeyState(batch.State()), adt.KeyState(each.State()); got != want {
+					t.Fatalf("%s seed %d round %d: batch-notified state %s, per-entry %s",
+						batch.Name(), seed, round, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"updatec/internal/clock"
@@ -191,8 +192,7 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 			// of a folded update, not a stability violation.
 			return 0, false
 		}
-		panic(fmt.Sprintf("core: update %s arrived below compaction horizon %s — stability was not honored (is the transport FIFO?)",
-			e.TS, l.baseTS))
+		l.panicBelowHorizon(e.TS)
 	}
 	live := l.buf[l.head:]
 	n := len(live)
@@ -214,6 +214,108 @@ func (l *Log) InsertDedup(e Entry) (int, bool) {
 	live[at] = e
 	l.version++
 	return at, true
+}
+
+// MergeDedup lands a batch of entries in one merge pass — the bulk
+// counterpart of InsertDedup for the repair paths (anti-entropy sync,
+// snapshot merge, resize seeding), which would otherwise shift the log
+// suffix once per entry. The log it leaves is exactly what inserting
+// the batch one entry at a time through InsertDedup leaves: the same
+// order (tie-break included), exact duplicates dropped against the log
+// and within the batch, below-horizon entries dropped on a merged base
+// and a panic on any other base, and the version advanced once per
+// landed entry. The panic fires before the log is touched.
+//
+// A sorted batch of m entries against n live ones costs
+// O(log n + n-first + m); an unsorted batch is stably sorted first, so
+// of equal entries the earliest in the batch is the one kept.
+// MergeDedup owns batch for the call: on return batch[:applied] holds
+// the landed entries in log order. late counts landed entries that
+// sort below the log's prior maximum — for a sorted batch, the number
+// of per-entry inserts that would have missed the tail. first is the
+// lowest position any entry landed at, so Entries()[:first] is
+// unchanged (first is Len() when nothing landed).
+func (l *Log) MergeDedup(batch []Entry) (applied, late, first int) {
+	cmp := func(a, b Entry) int {
+		switch {
+		case l.less(a, b):
+			return -1
+		case l.less(b, a):
+			return 1
+		}
+		return 0
+	}
+	if !slices.IsSortedFunc(batch, cmp) {
+		slices.SortStableFunc(batch, cmp)
+	}
+	live := l.buf[l.head:]
+	n := len(live)
+	first = n
+	if len(batch) == 0 {
+		return 0, 0, first
+	}
+	// Pass 1: walk the batch against the live suffix from where its
+	// smallest entry would land, compacting the entries that land to
+	// the front of batch. i is the number of live entries below e.
+	i := sort.Search(n, func(k int) bool { return !l.less(live[k], batch[0]) })
+	var prev Entry
+	seen := false
+	for _, e := range batch {
+		if l.base != nil && belowHorizon(l, e.TS) {
+			if l.merged {
+				continue // a redelivery of a folded update (see InsertDedup)
+			}
+			l.panicBelowHorizon(e.TS)
+		}
+		if seen && !l.less(prev, e) {
+			continue // equal to the batch entry before it
+		}
+		prev, seen = e, true
+		for i < n && l.less(live[i], e) {
+			i++
+		}
+		if i < n && !l.less(e, live[i]) {
+			continue // already in the log
+		}
+		if applied == 0 {
+			first = i
+		}
+		if i < n {
+			late++
+		}
+		batch[applied] = e
+		applied++
+	}
+	if applied == 0 {
+		return 0, 0, first
+	}
+	// Pass 2: make room at the tail (reallocating only the live suffix
+	// when the buffer is full) and merge backwards, so each displaced
+	// live entry moves exactly once.
+	if cap(l.buf)-len(l.buf) < applied {
+		l.buf, l.head = slices.Grow(slices.Clip(live), applied), 0
+	}
+	l.buf = l.buf[:len(l.buf)+applied]
+	live = l.buf[l.head:]
+	p, q := n-1, applied-1
+	for out := n + applied - 1; q >= 0; out-- {
+		if p >= first && l.less(batch[q], live[p]) {
+			live[out] = live[p]
+			p--
+		} else {
+			live[out] = batch[q]
+			q--
+		}
+	}
+	l.version += uint64(applied)
+	return applied, late, first
+}
+
+// panicBelowHorizon reports an arrival at or below a horizon this log
+// compacted itself: the stability tracker declared stability too early.
+func (l *Log) panicBelowHorizon(ts clock.Timestamp) {
+	panic(fmt.Sprintf("core: update %s arrived below compaction horizon %s — stability was not honored (is the transport FIFO?)",
+		ts, l.baseTS))
 }
 
 // Covers reports whether ts is at or below the compaction horizon —

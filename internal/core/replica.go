@@ -470,18 +470,41 @@ func (r *Replica) insertLocked(ts clock.Timestamp, u spec.Update) bool {
 	if at != r.log.Len()-1 {
 		r.lateInserts++
 	}
-	if ts.Proc >= 0 && ts.Proc < len(r.originMax) && ts.Clock > r.originMax[ts.Proc] {
-		r.originMax[ts.Proc] = ts.Clock
-	}
+	r.originMax.Observe(ts)
 	r.engine.Inserted(at)
 	return true
 }
 
+// landBatchLocked is insertLocked for a batch: the same clock, counter
+// and coverage bookkeeping, but one log merge (Log.MergeDedup) and one
+// engine notification at the lowest landing position instead of one
+// suffix shift and one notification per entry. batch is consumed
+// (MergeDedup reorders it). Caller holds the lock. Returns how many
+// entries were new.
+func (r *Replica) landBatchLocked(batch []Entry) int {
+	var maxClock uint64
+	for i := range batch {
+		maxClock = max(maxClock, batch[i].TS.Clock)
+	}
+	r.clk.Observe(maxClock)
+	applied, late, first := r.log.MergeDedup(batch)
+	r.dupDrops += uint64(len(batch) - applied)
+	r.lateInserts += uint64(late)
+	for _, e := range batch[:applied] {
+		r.originMax.Observe(e.TS)
+	}
+	if applied > 0 {
+		r.engine.Inserted(first)
+	}
+	return applied
+}
+
 // Absorb inserts an already-timestamped update directly into the
-// replica's log — the resharding state-transfer path: entries moved
-// from an old shard's log, and in-flight old-epoch deliveries
-// re-routed by key, keep their original timestamps so every replica
-// sorts them identically. Unlike a delivery through handle, Absorb
+// replica's log — the resharding state-transfer path: in-flight
+// old-epoch deliveries re-routed by key (and, as one batch per new
+// shard through landBatchLocked, the entries moved from the old
+// shards' logs) keep their original timestamps so every replica sorts
+// them identically. Unlike a delivery through handle, Absorb
 // never broadcasts and never feeds the stability tracker's *peer*
 // observations: an absorbed entry was observed on a different (old
 // shard) channel, and the per-sender FIFO argument that makes a direct

@@ -226,49 +226,65 @@ func (r *Replica) SyncReply(d Digest) ([]byte, error) {
 	return out, nil
 }
 
-// ApplySync lands a SyncReply payload: each frame decodes with the
-// update codec and inserts through the same path as Absorb — no
-// broadcast, no stability peer-observation, duplicates dropped and
-// counted. Returns how many entries were actually new. Frames at or
-// below this replica's own compaction horizon are skipped (they are
-// already folded into the base; stability guarantees they were
-// delivered before compaction).
+// ApplySync lands a SyncReply payload through the same bookkeeping as
+// Absorb — no broadcast, no stability peer-observation, duplicates
+// dropped and counted — but as one batch: the whole payload decodes
+// before the lock is taken, and the decoded entries land in a single
+// log merge with a single engine notification. A malformed payload
+// therefore lands nothing. Returns how many entries were actually new.
+// Frames at or below this replica's own compaction horizon are skipped
+// (they are already folded into the base; stability guarantees they
+// were delivered before compaction).
 func (r *Replica) ApplySync(payload []byte) (int, error) {
-	if len(payload) == 0 {
-		return 0, nil
-	}
-	count, off := binary.Uvarint(payload)
-	if off <= 0 {
-		return 0, fmt.Errorf("core: malformed sync reply count")
+	batch, err := r.decodeSyncReply(payload)
+	if err != nil || len(batch) == 0 {
+		return 0, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	applied := 0
+	kept := batch[:0]
+	for _, e := range batch {
+		if !r.log.Covers(e.TS) {
+			kept = append(kept, e)
+		}
+	}
+	applied := r.landBatchLocked(kept)
+	r.syncApplied += uint64(applied)
+	return applied, nil
+}
+
+// decodeSyncReply parses a SyncReply payload into entries. It touches
+// no replica state beyond the (immutable) codec, so it runs unlocked.
+func (r *Replica) decodeSyncReply(payload []byte) ([]Entry, error) {
+	if len(payload) == 0 {
+		return nil, nil
+	}
+	count, off := binary.Uvarint(payload)
+	if off <= 0 {
+		return nil, fmt.Errorf("core: malformed sync reply count")
+	}
+	// Every frame takes at least one byte, so the payload length bounds
+	// a count read off the wire.
+	batch := make([]Entry, 0, min(count, uint64(len(payload))))
 	for i := uint64(0); i < count; i++ {
 		flen, m := binary.Uvarint(payload[off:])
 		if m <= 0 || uint64(len(payload)-off-m) < flen {
-			return applied, fmt.Errorf("core: truncated sync reply frame %d", i)
+			return nil, fmt.Errorf("core: truncated sync reply frame %d", i)
 		}
 		off += m
 		frame := payload[off : off+int(flen)]
 		off += int(flen)
 		ts, tn, err := clock.DecodeTimestamp(frame)
 		if err != nil {
-			return applied, fmt.Errorf("core: malformed sync frame %d timestamp: %w", i, err)
+			return nil, fmt.Errorf("core: malformed sync frame %d timestamp: %w", i, err)
 		}
 		u, err := r.codec.DecodeUpdate(frame[tn:])
 		if err != nil {
-			return applied, fmt.Errorf("core: decoding sync frame %d: %w", i, err)
+			return nil, fmt.Errorf("core: decoding sync frame %d: %w", i, err)
 		}
-		if r.log.Covers(ts) {
-			continue
-		}
-		if r.insertLocked(ts, u) {
-			applied++
-		}
+		batch = append(batch, Entry{TS: ts, U: u})
 	}
-	r.syncApplied += uint64(applied)
-	return applied, nil
+	return batch, nil
 }
 
 // MergeSnapshot merges a donor's Snapshot into a replica that already
@@ -312,25 +328,26 @@ func (r *Replica) MergeSnapshot(snap []byte) (int, error) {
 		nl.seeded = old.seeded
 		nl.merged = old.merged
 	}
+	// This replica's surviving suffix is already sorted and free of
+	// duplicates, so it carries over as a filtered in-order copy; the
+	// donor's entries then land in one merge.
+	nl.buf = make([]Entry, 0, old.Len()+len(sd.entries))
 	for _, e := range old.Entries() {
-		if nl.Covers(e.TS) {
-			continue // folded into the donor's base
+		if !nl.Covers(e.TS) { // else folded into the donor's base
+			nl.buf = append(nl.buf, e)
 		}
-		nl.InsertDedup(e)
 	}
-	applied := 0
+	nl.version += uint64(len(nl.buf))
+	batch := sd.entries[:0]
 	for _, e := range sd.entries {
-		if nl.Covers(e.TS) {
-			continue
+		if !nl.Covers(e.TS) {
+			batch = append(batch, e)
 		}
-		if _, ok := nl.InsertDedup(e); ok {
-			applied++
-			if e.TS.Proc >= 0 && e.TS.Proc < len(r.originMax) && e.TS.Clock > r.originMax[e.TS.Proc] {
-				r.originMax[e.TS.Proc] = e.TS.Clock
-			}
-		} else {
-			r.dupDrops++
-		}
+	}
+	applied, _, _ := nl.MergeDedup(batch)
+	r.dupDrops += uint64(len(batch) - applied)
+	for _, e := range batch[:applied] {
+		r.originMax.Observe(e.TS)
 	}
 	// The log version must stay monotone across the swap: the state-key
 	// memo, the query-output cache and the sharded merged-state cache

@@ -135,6 +135,48 @@ func TestWireSyncMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestApplySyncMalformedLandsNothing: ApplySync decodes the whole reply
+// before landing any of it, so a reply whose later frames are
+// malformed or truncated errors out with the replica untouched — not
+// with its well-formed leading frames applied.
+func TestApplySyncMalformedLandsNothing(t *testing.T) {
+	mk := func(id int) *Replica {
+		net := transport.NewSim(transport.SimOptions{N: 2, Seed: 9})
+		return NewReplica(Config{ID: id, N: 2, ADT: spec.Set(), Net: net})
+	}
+	donor, r := mk(1), mk(0)
+	for c := uint64(1); c <= 3; c++ {
+		donor.Absorb(ts(c, 1), spec.Ins{V: fmt.Sprint(c)})
+	}
+	payload, err := donor.SyncReply(Digest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoFrames, err := donor.SyncReply(Digest{Origins: []OriginDigest{{}, {Count: 1, Max: 1, Hash: mix64(1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames 1–2 well formed, frame 3 an empty body (no timestamp).
+	thirdBad := append([]byte{3}, twoFrames[1:]...)
+	thirdBad = append(thirdBad, 0)
+	bad := [][]byte{thirdBad}
+	for cut := 1; cut < len(payload); cut++ {
+		bad = append(bad, payload[:cut])
+	}
+	before, key := r.Stats(), r.StateKey()
+	for _, p := range bad {
+		if n, err := r.ApplySync(p); err == nil || n != 0 {
+			t.Fatalf("ApplySync(%v) = %d, %v; want 0 and an error", p, n, err)
+		}
+		if r.Stats() != before || r.StateKey() != key {
+			t.Fatalf("malformed reply %v landed entries: %+v", p, r.Stats())
+		}
+	}
+	if n, err := r.ApplySync(payload); err != nil || n != 3 {
+		t.Fatalf("well-formed reply: %d, %v", n, err)
+	}
+}
+
 // TestWireSyncSnapshotFallback: when the donor has compacted past the
 // requester's horizon, the byte-level reply must carry the snapshot
 // mode and MergeSnapshot must land the donor's full state — the
