@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-resize test-chaos test-parallel-sim test-writers test-wire test-speckit test-ucperf fuzz
+.PHONY: build test vet fmt verify examples bench bench-quick bench-json bench-shards bench-read bench-resize bench-recovery bench-scenario bench-writers bench-wire bench-consistency test-race test-resize test-chaos test-parallel-sim test-writers test-wire test-speckit test-ucperf fuzz
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,14 @@ bench-writers:
 bench-wire:
 	$(GO) run ./cmd/ucbench -exp wire
 
+# test-race is CI's one race-detector pass: every test in the packages
+# with concurrent code paths or schedule-reproducibility gates. The
+# focused targets below (test-wire, test-parallel-sim, test-resize,
+# test-writers, test-speckit, test-chaos) run subsets of it for local
+# iteration; test-resize additionally covers internal/bench.
+test-race:
+	$(GO) test -race ./internal/core/ ./internal/transport/ ./internal/chaos/ ./internal/sim/ ./spectest/ ./internal/check/ .
+
 # test-wire runs the loopback wire-transport suite under the race
 # detector: the TCP transport and mailbox unit tests, the byte-level
 # anti-entropy exchange, in-process daemon clusters for every object
@@ -91,12 +99,13 @@ fuzz:
 # detector: the transport's sharded stepper vs the sequential one, the
 # every-object-kind property test at 2/4/8 workers, the public-API
 # determinism regression (plain/sharded/mid-resize clusters), and the
-# scenario DSL edge cases — all schedule-reproducibility gates.
+# fault harness's scenario edge cases — all schedule-reproducibility
+# gates.
 test-parallel-sim:
 	$(GO) test -race -run 'Parallel|Workers|Scenario|Scale' ./internal/transport/ ./internal/core/ ./internal/sim/ ./internal/chaos/ .
 
-# test-resize runs the resharding test suite (core protocol + public
-# API) under the race detector; CI's race job covers the same tests.
+# test-resize runs the resharding test suite (core protocol, public
+# API and the E17 table) under the race detector.
 test-resize:
 	$(GO) test -race -run 'Resize|Reshard' ./internal/core/ ./internal/bench/ .
 
@@ -123,9 +132,10 @@ test-speckit:
 	$(GO) test -race ./spectest/ ./internal/check/
 	$(GO) test -race -run 'Define|Registry|Consistency|Causal|Level|Spectest|OptionErr' .
 
-# test-chaos runs the seeded chaos schedules (crash/recover/partition/
-# heal/lossy links against every object kind) plus the recovery and
-# anti-entropy suites, all under the race detector.
+# test-chaos runs the fault harness — seeded chaos schedules and the
+# scenario presets, compiled to timelines and run through one executor
+# against every object kind — plus the recovery and anti-entropy
+# suites, all under the race detector.
 test-chaos:
 	$(GO) test -race ./internal/chaos/
 	$(GO) test -race -run 'Sync|Recover|Crash|PartitionHeal|Heal|Fault|URB' ./internal/core/ ./internal/transport/ .

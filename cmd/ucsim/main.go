@@ -19,33 +19,31 @@
 //	      [-shards s] [-classify] [-fig2]
 //	ucsim -obj countermap -n 3 -shards 4 -ops 100 [-seed 1] [-crash p] [-classify]
 //	      [-resize s'] [-recover] [-consistency uc|causal]
-//	ucsim -chaos 12 [-obj set] [-n 4] [-ops 400] [-seed 1] [-shards s]
-//	      [-resize s'] [-classify]
-//	ucsim -scenario churn|flash|zipf-hot|regions|skew|mixed [-obj set] [-n 8]
-//	      [-ops 400] [-seed 1] [-shards s] [-workers w] [-classify]
+//	ucsim -chaos 12 | -scenario churn|flash|zipf-hot|regions|skew|mixed
+//	      [-obj set] [-n 4] [-ops 400] [-seed 1] [-shards s] [-workers w]
+//	      [-fifo] [-resize s'] [-classify]
 //
-// -scenario name compiles a declarative scenario (internal/sim DSL) —
-// churn (join/retire waves), flash crowds, zipf-skewed key popularity,
-// regional partitions with partial heals, clock-skewed sessions, or all
-// of them at once (mixed) — into a deterministic fault/workload
-// timeline and replays it against a real cluster. -workers w runs the
-// delivery adversary sharded across w workers; the same (seed, workers)
-// pair reproduces the identical schedule, and the schedule fingerprint
-// is printed so reruns can be compared.
+// -chaos e and -scenario name run the fault harness (internal/chaos):
+// a declarative scenario (internal/sim DSL) is compiled into a
+// deterministic fault/workload timeline and replayed against a real
+// cluster, which is then repaired (heal, rejoin, digest sync rounds)
+// and checked for convergence. -scenario picks a preset — churn
+// (join/retire waves), flash crowds, zipf-skewed key popularity,
+// regional partitions with partial heals, clock-skewed sessions, or
+// all of them at once (mixed); -chaos e adds e seeded fault events —
+// crash/recover/partition/heal/lossy-link windows — to it, or runs
+// them alone. -workers w runs the delivery adversary sharded across w
+// workers; the same (seed, workers) pair reproduces the identical
+// schedule, and the event trace and schedule fingerprint are printed so
+// reruns can be compared.
 //
-// -resize s' (generic object mode, partitionable objects) resizes the
-// cluster live to s' shards halfway through the workload, with the
-// adversary's backlog in flight across the flip.
+// -resize s' (partitionable objects) resizes the cluster live to s'
+// shards halfway through the workload, with the adversary's backlog in
+// flight across the flip.
 //
 // -recover (with -crash p) brings the crashed replica back at the
 // three-quarter mark: it rejoins with its pre-crash state and pulls the
 // update suffix it missed from its peers by anti-entropy digest sync.
-//
-// -chaos e runs a seeded chaos schedule (internal/chaos): e fault
-// events — crash/recover/partition/heal/lossy-link windows — are
-// interleaved into the workload, the cluster is repaired (heal, rejoin,
-// digest sync rounds) and convergence is asserted. The event trace is
-// printed; the same seed reproduces it bit-for-bit.
 package main
 
 import (
@@ -72,7 +70,7 @@ func main() {
 	crash := flag.Int("crash", -1, "crash this process halfway through")
 	fifo := flag.Bool("fifo", false, "per-link FIFO delivery")
 	shards := flag.Int("shards", 1, "key shards per replica (partitionable objects only)")
-	resize := flag.Int("resize", 0, "resize to this shard count halfway through (-obj mode, partitionable objects)")
+	resize := flag.Int("resize", 0, "resize to this shard count halfway through (-obj, -chaos, -scenario; partitionable objects)")
 	classify := flag.Bool("classify", false, "record the history and classify it (keep ops small)")
 	fig2 := flag.Bool("fig2", false, "run the Figure 2 workload under a full partition")
 	recoverFlag := flag.Bool("recover", false, "with -crash p: recover the crashed replica at the 3/4 mark (anti-entropy rejoin)")
@@ -96,35 +94,30 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *scenario != "" {
-		implSet := false
-		flag.Visit(func(f *flag.Flag) { implSet = implSet || f.Name == "impl" })
-		if implSet || *fig2 || *crash >= 0 || *recoverFlag || *chaosEvents > 0 || *resize != 0 {
-			fmt.Fprintf(os.Stderr, "ucsim: -scenario schedules its own faults and workload; it cannot be combined with -impl, -fig2, -crash, -recover, -chaos or -resize\n")
-			os.Exit(2)
-		}
-		object := *obj
-		if object == "" {
-			object = "set"
-		}
-		if err := runScenario(*scenario, object, *n, *shards, *workers, *ops, *seed, *fifo, *classify); err != nil {
-			fmt.Fprintf(os.Stderr, "ucsim: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *chaosEvents > 0 {
+	if *scenario != "" || *chaosEvents > 0 {
 		implSet := false
 		flag.Visit(func(f *flag.Flag) { implSet = implSet || f.Name == "impl" })
 		if implSet || *fig2 || *crash >= 0 || *recoverFlag {
-			fmt.Fprintf(os.Stderr, "ucsim: -chaos schedules its own faults; it cannot be combined with -impl, -fig2, -crash or -recover\n")
+			fmt.Fprintf(os.Stderr, "ucsim: -chaos and -scenario schedule their own faults; they cannot be combined with -impl, -fig2, -crash or -recover\n")
 			os.Exit(2)
 		}
 		object := *obj
 		if object == "" {
 			object = "set"
 		}
-		if err := runChaos(object, *n, *shards, *resize, *ops, *seed, *chaosEvents, *classify); err != nil {
+		var spec sim.ScenarioSpec
+		if *scenario != "" {
+			var ok bool
+			if spec, ok = sim.Presets()[*scenario]; !ok {
+				fmt.Fprintf(os.Stderr, "ucsim: unknown scenario %q (known: %s)\n", *scenario, presetList())
+				os.Exit(2)
+			}
+		}
+		spec.N, spec.Ops, spec.Seed, spec.FIFO, spec.Resize = *n, *ops, *seed, *fifo, *resize
+		if *chaosEvents > 0 {
+			spec.Chaos = &sim.ChaosSpec{Events: *chaosEvents}
+		}
+		if err := runFaults(chaos.Config{Object: object, Shards: *shards, Workers: *workers, Record: *classify, Spec: spec}); err != nil {
 			fmt.Fprintf(os.Stderr, "ucsim: %v\n", err)
 			os.Exit(2)
 		}
@@ -152,7 +145,7 @@ func main() {
 		return
 	}
 	if *resize != 0 {
-		fmt.Fprintf(os.Stderr, "ucsim: -resize requires the generic object mode (-obj)\n")
+		fmt.Fprintf(os.Stderr, "ucsim: -resize requires the generic object mode (-obj) or the fault harness (-chaos, -scenario)\n")
 		os.Exit(2)
 	}
 
@@ -316,64 +309,22 @@ func runGeneric(obj updatec.Object[updatec.Handle], level updatec.Level, n, shar
 	return nil
 }
 
-// runChaos hands the run to the internal/chaos scheduler and reports
-// its trace, fault/repair counters and (optionally) the recorded
-// history's classification.
-func runChaos(object string, n, shards, resize, ops int, seed int64, events int, classify bool) error {
-	res, err := chaos.Run(chaos.Config{
-		Object: object, N: n, Shards: shards, Resize: resize,
-		Seed: seed, Ops: ops, Events: events, Record: classify,
-	})
+// runFaults replays a compiled timeline against a real cluster through
+// the fault harness and reports the event trace, fault/repair
+// counters, the schedule fingerprint and convergence.
+func runFaults(cfg chaos.Config) error {
+	res, err := chaos.Run(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("chaos: object=%s n=%d ops=%d seed=%d events=%d\n", object, n, ops, seed, events)
+	s := cfg.Spec
+	fmt.Printf("faults: object=%s n=%d ops=%d seed=%d shards=%d workers=%d fifo=%v\n",
+		cfg.Object, s.N, s.Ops, s.Seed, cfg.Shards, cfg.Workers, s.FIFO)
 	for _, line := range res.Trace {
 		fmt.Printf("  %s\n", line)
 	}
-	fmt.Printf("issued: %d updates   events: %d crashes, %d recoveries, %d partitions, %d heals, %d fault windows\n",
-		res.Issued, res.Crashes, res.Recovers, res.Partitions, res.Heals, res.FaultWindows)
-	fmt.Printf("loss: %d dropped to crashed replicas, %d dropped/duplicated on faulty links\n",
-		res.DroppedCrash, res.DroppedLink)
-	fmt.Printf("repair: %d entries landed by anti-entropy, %d duplicate arrivals absorbed\n",
-		res.SyncApplied, res.DupDropped)
-	if res.Classification != nil {
-		c := res.Classification
-		fmt.Printf("classification: EC=%v SEC=%v UC=%v SUC=%v PC=%v CC=%v\n",
-			c.EventuallyConsistent, c.StrongEventuallyConsistent,
-			c.UpdateConsistent, c.StrongUpdateConsistent, c.PipelinedConsistent,
-			c.CausallyConsistent)
-	}
-	fmt.Printf("converged: %v\n", res.Converged)
-	if !res.Converged {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// runScenario compiles a scenario preset into its deterministic
-// timeline, replays it against a real cluster via the chaos executor,
-// and reports the event trace, fault/repair counters, the schedule
-// fingerprint and convergence.
-func runScenario(preset, object string, n, shards, workers, ops int, seed int64, fifo, classify bool) error {
-	spec, ok := sim.Presets()[preset]
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (known: %s)", preset, presetList())
-	}
-	spec.N, spec.Ops, spec.Seed, spec.FIFO = n, ops, seed, fifo
-	res, err := chaos.RunScenario(chaos.ScenarioConfig{
-		Object: object, Shards: shards, Workers: workers, Record: classify, Spec: spec,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario: %s   object=%s n=%d ops=%d seed=%d shards=%d workers=%d\n",
-		preset, object, n, ops, seed, shards, workers)
-	for _, line := range res.Trace {
-		fmt.Printf("  %s\n", line)
-	}
-	fmt.Printf("issued: %d updates   events: %d retires, %d rejoins, %d partitions, %d partial heals, %d heals, %d fault windows\n",
-		res.Issued, res.Retires, res.Rejoins, res.Partitions, res.PartialHeals, res.Heals, res.FaultWindows)
+	fmt.Printf("issued: %d updates   events: %d retires, %d rejoins, %d partitions, %d partial heals, %d heals, %d fault windows, %d resizes\n",
+		res.Issued, res.Retires, res.Rejoins, res.Partitions, res.PartialHeals, res.Heals, res.FaultWindows, res.Resizes)
 	fmt.Printf("loss: %d dropped to crashed replicas, %d dropped/duplicated on faulty links\n",
 		res.DroppedCrash, res.DroppedLink)
 	fmt.Printf("repair: %d entries landed by anti-entropy, %d duplicate arrivals absorbed\n",

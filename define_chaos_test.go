@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"updatec/internal/chaos"
+	"updatec/internal/sim"
 )
 
 // TestDefineChaosConvergence puts the Define-built peakmap object (see
@@ -14,7 +15,9 @@ import (
 // package because the chaos harness itself imports updatec.
 func TestDefineChaosConvergence(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		res, err := chaos.Run(chaos.Config{Object: "peakmap", Seed: 11, Ops: 300, Events: 10, Shards: shards})
+		res, err := chaos.Run(chaos.Config{Object: "peakmap", Shards: shards, Spec: sim.ScenarioSpec{
+			Seed: 11, Ops: 300, Chaos: &sim.ChaosSpec{Events: 10},
+		}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -38,7 +38,7 @@ type ScenarioScaleResult struct {
 // and the delivered totals are comparable across worker counts.
 func scaleSpec(n int) sim.ScenarioSpec {
 	return sim.ScenarioSpec{
-		Name: "scale", N: n, Ops: 200, Seed: 1905, Keys: 64,
+		N: n, Ops: 200, Seed: 1905, Keys: 64,
 		Churn:   &sim.ChurnSpec{Events: 6},
 		Flash:   &sim.FlashSpec{Crowds: 1, Width: 0.2, Boost: 8, Focus: 0.25},
 		Zipf:    &sim.ZipfSpec{S: 1.8, V: 2},

@@ -1,5 +1,6 @@
-// Package chaos drives seeded fault schedules — crash, recover,
-// partition, heal, per-link drop/duplication windows, live resizes —
+// Package chaos is the fault harness: it executes a compiled scenario
+// timeline (internal/sim) — crash/retire, recover/rejoin, partitions
+// and partial heals, per-link drop/duplication windows, live resizes —
 // against any object of the public updatec API, then repairs the
 // cluster (heal + recover + anti-entropy) and asserts convergence.
 //
@@ -9,9 +10,12 @@
 // lossy links, PROVIDED the missing update suffixes are repaired — by
 // the transport's redelivery where it still holds them, and by the
 // anti-entropy digest sync where it does not (crash-dropped messages,
-// injected link drops). A schedule is reproducible from its seed: the
-// same Config always produces the same event trace, fault timing and
-// delivery order, so a failing schedule is a regression test.
+// injected link drops). Seeded chaos schedules (sim.ChaosSpec) and the
+// scenario presets compile to the same kind of timeline and run
+// through the one Run. A run is reproducible from its Config: the
+// timeline fixes the faults, issuers and keys, the seed (with the
+// worker count) fixes the delivery pacing and the adversary, so a
+// failing run is a regression test.
 package chaos
 
 import (
@@ -20,62 +24,44 @@ import (
 	"sort"
 
 	"updatec"
+	"updatec/internal/sim"
 )
 
-// Config describes one seeded chaos schedule.
+// Config names the object under test and the timeline to run it
+// through.
 type Config struct {
 	// Object names the replicated data type, as in `ucsim -obj`: set,
-	// counter, register, log, sequence, graph, kv, memory, countermap.
+	// counter, register, log, sequence, graph, kv, memory, countermap,
+	// or anything an application registered with updatec.Define.
 	Object string
-	// N is the cluster size (default 4 — enough for a two-sided
-	// partition with a spectator).
-	N int
 	// Shards runs partitionable objects key-sharded.
 	Shards int
-	// Seed drives the schedule, the fault coin-flips and the network
-	// adversary.
-	Seed int64
-	// Ops is the number of update slots in the schedule (default 400).
-	// A slot on a crashed replica issues nothing, like a real client
-	// whose server is down.
-	Ops int
-	// Events is the number of fault events interleaved into the
-	// schedule (default 12). Each event picks uniformly among the
-	// actions currently feasible: crash a live replica (keeping at
-	// least one alive), recover a crashed one, open a random two-sided
-	// partition, heal it, open a drop/dup fault window on every link,
-	// or close it.
-	Events int
-	// Drop and Dup are the per-link fault probabilities applied while a
-	// fault window is open. Both zero defaults to 0.2/0.2.
-	Drop, Dup float64
-	// Resize, when positive, resizes the cluster to this shard count at
-	// the schedule midpoint — recovery and repair must compose with
-	// epoch-tagged routing.
-	Resize int
 	// Workers, when above 1, runs the cluster on the parallel sharded
 	// adversary (updatec.WithWorkers): deliveries happen in
 	// deterministic parallel rounds instead of one message at a time.
-	// The schedule is then defined by (Seed, Workers) — still
+	// The schedule is then defined by (Spec, Workers) — still
 	// bit-for-bit reproducible, but a different (equally valid)
 	// adversary than the sequential one.
 	Workers int
 	// Record records the run's history and classifies it under the
-	// paper's criteria. Keep Ops small (the deciders solve NP-complete
-	// problems).
+	// paper's criteria. Keep Spec.Ops small (the deciders solve
+	// NP-complete problems).
 	Record bool
+	// Spec is the scenario; its N/Ops/Seed/FIFO/Resize and sub-specs
+	// drive everything.
+	Spec sim.ScenarioSpec
 }
 
-// Result reports one schedule.
+// Result reports one run.
 type Result struct {
 	// Converged reports whether every replica reached the same state
-	// after final repair — the acceptance bar of every schedule.
+	// after final repair — the acceptance bar of every run.
 	Converged bool
-	// Issued counts updates actually issued (slots on crashed replicas
-	// issue nothing).
+	// Issued counts updates actually issued (slots whose issuer was
+	// down issue nothing, like a real client whose server is down).
 	Issued int
-	// Event counts.
-	Crashes, Recovers, Partitions, Heals, FaultWindows int
+	// Event counts, as executed.
+	Retires, Rejoins, Partitions, PartialHeals, Heals, FaultWindows, Resizes int
 	// SyncApplied counts log entries landed by anti-entropy pulls;
 	// DupDropped counts exact-duplicate arrivals the logs absorbed
 	// (injected duplication, post-heal redelivery of synced entries).
@@ -84,15 +70,18 @@ type Result struct {
 	// loss; every one of these losses had to be repaired by a digest
 	// exchange for Converged to hold.
 	DroppedCrash, DroppedLink uint64
+	// Fingerprint pins the adversary's delivery schedule — equal
+	// configs must reproduce it bit for bit.
+	Fingerprint uint64
 	// Classification is set when Config.Record was on.
 	Classification *updatec.Classification
-	// Trace is the human-readable event narrative, one line per fault
-	// event plus the final repair.
+	// Trace is the executed event narrative, one line per event plus
+	// the final repair.
 	Trace []string
 }
 
 // control is the object-independent slice of *updatec.Cluster[H] the
-// scheduler drives; every instantiation of the generic cluster
+// executor drives; every instantiation of the generic cluster
 // satisfies it.
 type control interface {
 	Crash(p int) error
@@ -114,23 +103,19 @@ type control interface {
 
 // harness pairs the type-erased cluster control with a mutator that
 // issues one update on a given replica's typed handle, keyed by the
-// schedule's chosen key (so workload generators control key
+// timeline's chosen key (so workload generators control key
 // popularity); any secondary randomness comes from the rng.
 type harness struct {
 	ctl    control
 	update func(p int, key string, rng *rand.Rand)
 }
 
-var chaosKeys = []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
-
-func pickKey(rng *rand.Rand) string { return chaosKeys[rng.Intn(len(chaosKeys))] }
-
-// build constructs the cluster for cfg.Object through the public API.
-// The object is resolved from the descriptor registry, so any name a
-// Define call registered — built-in or application-defined — runs
-// under the same schedules; the object's own workload generator issues
-// the updates.
-func build(cfg Config) (*harness, error) {
+// build constructs the cluster for cfg.Object through the public API,
+// shaped by the normalized spec s. The object is resolved from the
+// descriptor registry, so any name a Define call registered — built-in
+// or application-defined — runs under the same timelines; the object's
+// own workload generator issues the updates.
+func build(cfg Config, s sim.ScenarioSpec) (*harness, error) {
 	obj, err := updatec.Lookup(cfg.Object)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -138,7 +123,10 @@ func build(cfg Config) (*harness, error) {
 	if _, ok := obj.RandomUpdate(rand.New(rand.NewSource(0)), "probe"); !ok {
 		return nil, fmt.Errorf("chaos: object %q has no workload generator (Define it with updatec.WithWorkload)", cfg.Object)
 	}
-	opts := []updatec.Option{updatec.WithSeed(cfg.Seed)}
+	opts := []updatec.Option{updatec.WithSeed(s.Seed)}
+	if s.FIFO {
+		opts = append(opts, updatec.WithFIFO())
+	}
 	if cfg.Shards > 1 {
 		opts = append(opts, updatec.WithShards(cfg.Shards))
 	}
@@ -148,7 +136,7 @@ func build(cfg Config) (*harness, error) {
 	if cfg.Record {
 		opts = append(opts, updatec.WithRecording())
 	}
-	cluster, handles, err := updatec.New(cfg.N, obj, opts...)
+	cluster, handles, err := updatec.New(s.N, obj, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +150,13 @@ func build(cfg Config) (*harness, error) {
 	}, nil
 }
 
-// finalRepair is the harness's repair protocol, shared by the chaos
-// schedule and the scenario executor: close any open fault window (so
-// the remaining backlog drains losslessly), heal the partition
-// (automatic digest exchange), bring every crashed replica back in id
-// order (each rejoins and pulls what it missed), settle the transport,
-// then one last all-replica sync round to repair anything the fault
-// window dropped after the last exchange. Returns the replicas it
-// recovered.
+// finalRepair is the harness's repair protocol: close any open fault
+// window (so the remaining backlog drains losslessly), heal the
+// partition (automatic digest exchange), bring every crashed replica
+// back in id order (each rejoins and pulls what it missed), settle the
+// transport, then one last all-replica sync round to repair anything
+// the fault window dropped after the last exchange. Returns the
+// replicas it recovered.
 func finalRepair(ctl control, crashed map[int]bool, partitioned, faulted bool) ([]int, error) {
 	if faulted {
 		if err := ctl.FaultAll(0, 0); err != nil {
@@ -198,166 +185,89 @@ func finalRepair(ctl control, crashed map[int]bool, partitioned, faulted bool) (
 	return down, nil
 }
 
-// Run executes one schedule. The returned error reports harness-level
-// failures (unknown object, invalid option combination, a repair call
-// that errored); a schedule that ran but failed to converge is NOT an
-// error — it is Result.Converged == false, for the caller to assert.
+// Run executes one timeline: per slot, fire the slot's events, issue
+// its update on its issuer (unless that replica is down), deliver 0–3
+// messages; then run the final repair and gather the counters. The
+// returned error reports harness-level failures (unknown object,
+// invalid option combination, a fault or repair call that errored); a
+// run that completed but failed to converge is NOT an error — it is
+// Result.Converged == false, for the caller to assert.
 func Run(cfg Config) (Result, error) {
-	if cfg.N == 0 {
-		cfg.N = 4
+	tl := cfg.Spec.Compile()
+	s := tl.Spec
+	if s.N < 2 {
+		return Result{}, fmt.Errorf("chaos: need at least 2 replicas, got %d", s.N)
 	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 400
-	}
-	if cfg.Events == 0 {
-		cfg.Events = 12
-	}
-	if cfg.Drop == 0 && cfg.Dup == 0 {
-		cfg.Drop, cfg.Dup = 0.2, 0.2
-	}
-	if cfg.N < 2 {
-		return Result{}, fmt.Errorf("chaos: need at least 2 replicas, got %d", cfg.N)
-	}
-	h, err := build(cfg)
+	h, err := build(cfg, s)
 	if err != nil {
 		return Result{}, err
 	}
 	defer h.ctl.Close()
 
-	// Three independent deterministic streams: the schedule (which
-	// event fires where), the workload (which replica updates with
-	// what), and the network adversary (inside the cluster, from
-	// cfg.Seed). Separating them keeps the event sequence stable when a
-	// mutator changes how much randomness it consumes.
-	schedRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5c4ed0))
-	workRng := rand.New(rand.NewSource(cfg.Seed ^ 0x0b5e55))
-
-	// Place the fault events uniformly over the update slots.
-	eventAt := make(map[int]int)
-	for e := 0; e < cfg.Events; e++ {
-		eventAt[schedRng.Intn(cfg.Ops)]++
-	}
-	resizeAt := -1
-	if cfg.Resize > 0 {
-		resizeAt = cfg.Ops / 2
-	}
-
 	var res Result
+	// Delivery pacing gets its own stream, so it stays stable when a
+	// mutator changes how much randomness it consumes.
+	delRng := rand.New(rand.NewSource(s.Seed ^ 0xde11))
+
 	crashed := map[int]bool{}
 	partitioned, faulted := false, false
-	trace := func(slot int, format string, args ...any) {
-		res.Trace = append(res.Trace, fmt.Sprintf("op %4d: %s", slot, fmt.Sprintf(format, args...)))
-	}
-
-	fire := func(slot int) error {
-		// Enumerate the feasible actions, then pick uniformly. The
-		// enumeration order is fixed, so the pick is seed-stable.
-		var actions []string
-		if len(crashed) < cfg.N-1 {
-			actions = append(actions, "crash")
-		}
-		if len(crashed) > 0 {
-			actions = append(actions, "recover")
-		}
-		if partitioned {
-			actions = append(actions, "heal")
-		} else if cfg.N >= 2 {
-			actions = append(actions, "partition")
-		}
-		if faulted {
-			actions = append(actions, "unfault")
-		} else {
-			actions = append(actions, "fault")
-		}
-		switch actions[schedRng.Intn(len(actions))] {
-		case "crash":
-			var live []int
-			for p := 0; p < cfg.N; p++ {
-				if !crashed[p] {
-					live = append(live, p)
+	for slot := 0; slot < s.Ops; slot++ {
+		for _, ev := range tl.EventsAt(slot) {
+			switch ev.Kind {
+			case sim.EvRetire:
+				// Churn and chaos keep their own down-sets; where both
+				// are in one spec, a transition the replica already
+				// made is skipped.
+				if crashed[ev.Proc] {
+					continue
 				}
-			}
-			p := live[schedRng.Intn(len(live))]
-			if err := h.ctl.Crash(p); err != nil {
-				return err
-			}
-			crashed[p] = true
-			res.Crashes++
-			trace(slot, "crash p%d", p)
-		case "recover":
-			var down []int
-			for p := 0; p < cfg.N; p++ {
-				if crashed[p] {
-					down = append(down, p)
+				err = h.ctl.Crash(ev.Proc)
+				crashed[ev.Proc] = true
+				res.Retires++
+			case sim.EvRejoin:
+				if !crashed[ev.Proc] {
+					continue
 				}
+				err = h.ctl.Recover(ev.Proc)
+				delete(crashed, ev.Proc)
+				res.Rejoins++
+			case sim.EvPartition:
+				err = h.ctl.Partition(ev.Groups...)
+				partitioned = true
+				res.Partitions++
+			case sim.EvPartialHeal:
+				err = h.ctl.Partition(ev.Groups...)
+				res.PartialHeals++
+			case sim.EvHeal:
+				// This may fire inside an open fault window: the
+				// heal-round digest pulls then run over lossy links, and
+				// the final repair must still close the gap.
+				err = h.ctl.Heal()
+				partitioned = false
+				res.Heals++
+			case sim.EvFaultOpen:
+				err = h.ctl.FaultAll(ev.Drop, ev.Dup)
+				faulted = true
+				res.FaultWindows++
+			case sim.EvFaultClose:
+				err = h.ctl.FaultAll(0, 0)
+				faulted = false
+			case sim.EvResize:
+				err = h.ctl.Resize(ev.Shards)
+				res.Resizes++
 			}
-			p := down[schedRng.Intn(len(down))]
-			if err := h.ctl.Recover(p); err != nil {
-				return err
-			}
-			delete(crashed, p)
-			res.Recovers++
-			trace(slot, "recover p%d (anti-entropy pull from reachable peers)", p)
-		case "partition":
-			// A random non-trivial two-sided split.
-			var side []int
-			for p := 0; p < cfg.N; p++ {
-				if schedRng.Intn(2) == 0 {
-					side = append(side, p)
-				}
-			}
-			if len(side) == 0 || len(side) == cfg.N {
-				side = []int{schedRng.Intn(cfg.N)}
-			}
-			if err := h.ctl.Partition(side); err != nil {
-				return err
-			}
-			partitioned = true
-			res.Partitions++
-			trace(slot, "partition %v | rest", side)
-		case "heal":
-			if err := h.ctl.Heal(); err != nil {
-				return err
-			}
-			partitioned = false
-			res.Heals++
-			trace(slot, "heal (automatic digest exchange)")
-		case "fault":
-			if err := h.ctl.FaultAll(cfg.Drop, cfg.Dup); err != nil {
-				return err
-			}
-			faulted = true
-			res.FaultWindows++
-			trace(slot, "fault window open: drop=%.2f dup=%.2f on every link", cfg.Drop, cfg.Dup)
-		case "unfault":
-			if err := h.ctl.FaultAll(0, 0); err != nil {
-				return err
-			}
-			faulted = false
-			trace(slot, "fault window closed")
-		}
-		return nil
-	}
-
-	for i := 0; i < cfg.Ops; i++ {
-		for e := eventAt[i]; e > 0; e-- {
-			if err := fire(i); err != nil {
+			if err != nil {
 				return res, err
 			}
+			res.Trace = append(res.Trace, ev.String())
 		}
-		if i == resizeAt {
-			if err := h.ctl.Resize(cfg.Resize); err != nil {
-				return res, err
-			}
-			trace(i, "resize to %d shards (backlog in flight)", cfg.Resize)
-		}
-		p := workRng.Intn(cfg.N)
-		mutRng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)<<20 ^ int64(p)))
+		p := tl.Issuer[slot]
 		if !crashed[p] {
-			h.update(p, pickKey(mutRng), mutRng)
+			mutRng := rand.New(rand.NewSource(s.Seed ^ int64(slot)<<20 ^ int64(p)))
+			h.update(p, fmt.Sprintf("k%d", tl.Key[slot]), mutRng)
 			res.Issued++
 		}
-		for d := workRng.Intn(4); d > 0; d-- {
+		for d := delRng.Intn(4); d > 0; d-- {
 			if !h.ctl.Deliver() {
 				break
 			}
@@ -374,6 +284,7 @@ func Run(cfg Config) (Result, error) {
 	res.SyncApplied, res.DupDropped = h.ctl.RepairStats()
 	st := h.ctl.Stats()
 	res.DroppedCrash, res.DroppedLink = st.DroppedCrash, st.DroppedLink
+	res.Fingerprint = h.ctl.ScheduleFingerprint()
 	if cfg.Record {
 		cl, err := h.ctl.Classify()
 		if err != nil {

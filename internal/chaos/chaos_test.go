@@ -4,7 +4,15 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"updatec/internal/sim"
 )
+
+// chaosSpec is a plain seeded chaos schedule: events fault events over
+// ops update slots on the default four replicas.
+func chaosSpec(seed int64, ops, events int) sim.ScenarioSpec {
+	return sim.ScenarioSpec{Seed: seed, Ops: ops, Chaos: &sim.ChaosSpec{Events: events}}
+}
 
 // TestSchedulesConverge is the harness's core property: for every
 // object kind and a spread of seeds, a schedule of crashes, recoveries,
@@ -14,7 +22,7 @@ func TestSchedulesConverge(t *testing.T) {
 	objects := []string{"set", "counter", "register", "log", "sequence", "graph", "kv", "memory", "countermap"}
 	for _, obj := range objects {
 		for seed := int64(1); seed <= 4; seed++ {
-			res, err := Run(Config{Object: obj, Seed: seed, Ops: 200, Events: 10})
+			res, err := Run(Config{Object: obj, Spec: chaosSpec(seed, 200, 10)})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", obj, seed, err)
 			}
@@ -33,14 +41,14 @@ func TestSchedulesExerciseRepair(t *testing.T) {
 	var crashes, faults int
 	var droppedCrash, droppedLink, syncApplied, dupDropped uint64
 	for seed := int64(1); seed <= 6; seed++ {
-		res, err := Run(Config{Object: "set", Seed: seed, Ops: 300, Events: 14})
+		res, err := Run(Config{Object: "set", Spec: chaosSpec(seed, 300, 14)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !res.Converged {
 			t.Fatalf("seed %d: did not converge\ntrace:\n%s", seed, strings.Join(res.Trace, "\n"))
 		}
-		crashes += res.Crashes
+		crashes += res.Retires
 		faults += res.FaultWindows
 		droppedCrash += res.DroppedCrash
 		droppedLink += res.DroppedLink
@@ -66,7 +74,9 @@ func TestSchedulesExerciseRepair(t *testing.T) {
 // compose with epoch-tagged routing at the new shard count.
 func TestShardedScheduleWithResize(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		res, err := Run(Config{Object: "countermap", Shards: 2, Resize: 5, Seed: seed, Ops: 300, Events: 12})
+		spec := chaosSpec(seed, 300, 12)
+		spec.Resize = 5
+		res, err := Run(Config{Object: "countermap", Shards: 2, Spec: spec})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -74,13 +84,16 @@ func TestShardedScheduleWithResize(t *testing.T) {
 			t.Fatalf("seed %d: sharded resize schedule did not converge\ntrace:\n%s",
 				seed, strings.Join(res.Trace, "\n"))
 		}
+		if res.Resizes != 1 {
+			t.Fatalf("seed %d: %d resizes executed, want 1", seed, res.Resizes)
+		}
 	}
 }
 
 // TestDeterministic: the same Config reproduces the same trace and the
 // same counters bit-for-bit — a failing schedule is a regression test.
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Object: "kv", Seed: 42, Ops: 250, Events: 12}
+	cfg := Config{Object: "kv", Spec: chaosSpec(42, 250, 12)}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +113,9 @@ func TestDeterministic(t *testing.T) {
 // supposed to survive faults, that is the whole point.
 func TestRecordedScheduleStaysUpdateConsistent(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		res, err := Run(Config{Object: "set", N: 3, Seed: seed, Ops: 12, Events: 3, Record: true})
+		spec := chaosSpec(seed, 12, 3)
+		spec.N = 3
+		res, err := Run(Config{Object: "set", Record: true, Spec: spec})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

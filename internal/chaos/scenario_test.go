@@ -41,7 +41,7 @@ func TestScenarioZeroReplicaChurnWindow(t *testing.T) {
 		N: 3, Ops: 250,
 		Churn: &sim.ChurnSpec{Events: 24},
 	})
-	res, err := RunScenario(ScenarioConfig{Object: "set", Spec: spec})
+	res, err := Run(Config{Object: "set", Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestScenarioAllIsolatedPartition(t *testing.T) {
 		N: 4, Ops: 200, Seed: 17,
 		Regions: &sim.RegionSpec{Regions: 4, Cycles: 1},
 	}
-	res, err := RunScenario(ScenarioConfig{Object: "kv", Shards: 2, Spec: spec})
+	res, err := Run(Config{Object: "kv", Shards: 2, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestScenarioZipfSingleHotKey(t *testing.T) {
 	if hot*10 < len(tl.Key)*9 {
 		t.Fatalf("zipf hot key holds only %d/%d updates", hot, len(tl.Key))
 	}
-	res, err := RunScenario(ScenarioConfig{Object: "set", Workers: 2, Spec: spec})
+	res, err := Run(Config{Object: "set", Workers: 2, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestScenarioHealDuringFaultWindow(t *testing.T) {
 		Regions: &sim.RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true},
 		Faults:  &sim.FaultSpec{Windows: 3, Width: 0.25, Drop: 0.3, Dup: 0.2},
 	})
-	res, err := RunScenario(ScenarioConfig{Object: "countermap", Shards: 2, Spec: spec})
+	res, err := Run(Config{Object: "countermap", Shards: 2, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +159,14 @@ func TestScenarioMixedPresetConverges(t *testing.T) {
 	spec := sim.Presets()["mixed"]
 	spec.N, spec.Ops, spec.Seed = 6, 300, 41
 	for _, workers := range []int{1, 4} {
-		a, err := RunScenario(ScenarioConfig{Object: "set", Shards: 2, Workers: workers, Spec: spec})
+		a, err := Run(Config{Object: "set", Shards: 2, Workers: workers, Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !a.Converged {
 			t.Fatalf("mixed preset at %d workers did not converge:\n%v", workers, a.Trace)
 		}
-		b, err := RunScenario(ScenarioConfig{Object: "set", Shards: 2, Workers: workers, Spec: spec})
+		b, err := Run(Config{Object: "set", Shards: 2, Workers: workers, Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,4 +174,86 @@ func TestScenarioMixedPresetConverges(t *testing.T) {
 			t.Fatalf("workers=%d: fingerprints diverge across identical runs: %x vs %x", workers, a.Fingerprint, b.Fingerprint)
 		}
 	}
+}
+
+// TestScenarioFIFOChangesSchedule: Spec.FIFO reaches the cluster. Per-
+// link FIFO delivery narrows what the adversary may pick, so over a
+// seed sweep of the regions preset at least one schedule fingerprint
+// must differ from its non-FIFO twin, and both variants converge.
+func TestScenarioFIFOChangesSchedule(t *testing.T) {
+	differ := false
+	for seed := int64(1); seed <= 5; seed++ {
+		var prints [2]uint64
+		for i, fifo := range []bool{false, true} {
+			spec := sim.Presets()["regions"]
+			spec.Seed, spec.FIFO = seed, fifo
+			res, err := Run(Config{Object: "set", Spec: spec})
+			if err != nil {
+				t.Fatalf("seed %d fifo=%v: %v", seed, fifo, err)
+			}
+			if !res.Converged {
+				t.Fatalf("seed %d fifo=%v: did not converge:\n%v", seed, fifo, res.Trace)
+			}
+			prints[i] = res.Fingerprint
+		}
+		differ = differ || prints[0] != prints[1]
+	}
+	if !differ {
+		t.Fatal("FIFO on and off produced identical schedules for every seed — Spec.FIFO is not reaching the transport")
+	}
+}
+
+// TestScenarioPresetWithResize: any timeline may resize, not only a
+// chaos schedule — the regions preset's partial heals compose with a
+// mid-run 2→4 reshard of a countermap.
+func TestScenarioPresetWithResize(t *testing.T) {
+	spec := sim.Presets()["regions"]
+	spec.N, spec.Ops, spec.Seed, spec.Resize = 6, 300, 13, 4
+	res, err := Run(Config{Object: "countermap", Shards: 2, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("regions preset with a resize did not converge:\n%v", res.Trace)
+	}
+	if res.Resizes != 1 || res.Partitions == 0 || res.PartialHeals == 0 {
+		t.Fatalf("expected one resize among partitions and partial heals, got %d resizes, %d partitions, %d partial heals",
+			res.Resizes, res.Partitions, res.PartialHeals)
+	}
+}
+
+// TestScenarioChurnUnderChaos: churn and chaos keep their own down-
+// sets, so a spec with both can retire a replica the other already
+// took down (or rejoin one it already brought back). The executor
+// skips such a transition; the run must still converge.
+func TestScenarioChurnUnderChaos(t *testing.T) {
+	spec := sim.Presets()["churn"]
+	spec.N, spec.Ops, spec.Chaos = 4, 300, &sim.ChaosSpec{Events: 16}
+	for seed := int64(0); seed < 500; seed++ {
+		spec.Seed = seed
+		down := map[int]bool{}
+		redundant := false
+		for _, ev := range spec.Compile().Events {
+			switch ev.Kind {
+			case sim.EvRetire:
+				redundant = redundant || down[ev.Proc]
+				down[ev.Proc] = true
+			case sim.EvRejoin:
+				redundant = redundant || !down[ev.Proc]
+				delete(down, ev.Proc)
+			}
+		}
+		if !redundant {
+			continue
+		}
+		res, err := Run(Config{Object: "kv", Spec: spec})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.Converged {
+			t.Fatalf("churn under chaos (seed %d) did not converge:\n%v", seed, res.Trace)
+		}
+		return
+	}
+	t.Fatal("no seed under 500 overlaps churn and chaos transitions; the generator can no longer express it")
 }

@@ -10,9 +10,10 @@ package sim
 //
 // Two executors consume a compiled timeline:
 //
-//   - internal/chaos.RunScenario drives a real replicated-object
-//     cluster through it (the public updatec API) and asserts
-//     convergence after final repair — the correctness backend;
+//   - internal/chaos.Run drives a real replicated-object cluster
+//     through it (the public updatec API) and asserts convergence
+//     after final repair — the correctness backend, and the one fault
+//     harness: seeded chaos schedules are timelines too (ChaosSpec);
 //   - sim.RunScale drives a bare transport.SimNetwork with synthetic
 //     constant-work replicas — the capacity backend, scaling to 10⁶
 //     simulated replicas for the parallel-adversary experiments.
@@ -87,12 +88,23 @@ type FaultSpec struct {
 	Drop, Dup float64 // default 0.2 / 0.2
 }
 
+// ChaosSpec injects a seeded chaos schedule: Events fault events
+// placed uniformly over the timeline, each picking uniformly among the
+// actions feasible after the earlier ones — crash a live replica
+// (keeping at least one alive), recover a crashed one, open a random
+// two-sided partition, heal it, open a drop/dup window on every link,
+// or close it. Replicas still down at the end stay down for the
+// executor's final repair to recover. Default 12 events at 0.2/0.2.
+type ChaosSpec struct {
+	Events    int
+	Drop, Dup float64
+}
+
 // ScenarioSpec is the declarative description of one scenario. Zero
 // sub-specs mean a plain uniform workload; each non-nil sub-spec adds
 // its dimension. Compile turns the spec into the deterministic
 // timeline both backends execute.
 type ScenarioSpec struct {
-	Name string
 	// N replicas execute Ops update slots over a key space of Keys
 	// keys. Defaults: N 4, Ops 400, Keys 16.
 	N, Ops, Keys int
@@ -101,6 +113,10 @@ type ScenarioSpec struct {
 	Seed int64
 	// FIFO requests per-link FIFO delivery from the transport.
 	FIFO bool
+	// Resize, when positive, resizes the cluster to this shard count at
+	// slot Ops/2, with the backlog in flight — recovery and repair must
+	// compose with epoch-tagged routing.
+	Resize int
 
 	Zipf    *ZipfSpec
 	Churn   *ChurnSpec
@@ -108,6 +124,7 @@ type ScenarioSpec struct {
 	Regions *RegionSpec
 	Skew    *SkewSpec
 	Faults  *FaultSpec
+	Chaos   *ChaosSpec
 }
 
 // EventKind is a timeline event type.
@@ -128,6 +145,8 @@ const (
 	// EvFaultOpen/EvFaultClose toggle the every-link drop/dup window.
 	EvFaultOpen
 	EvFaultClose
+	// EvResize resizes the cluster to the event's shard count.
+	EvResize
 )
 
 // Event is one compiled timeline event, fired before the update slot
@@ -141,6 +160,8 @@ type Event struct {
 	Groups [][]int
 	// Drop/Dup are the probabilities for EvFaultOpen.
 	Drop, Dup float64
+	// Shards is the target shard count for EvResize.
+	Shards int
 }
 
 // String renders the event for traces.
@@ -151,13 +172,15 @@ func (e Event) String() string {
 	case EvRejoin:
 		return fmt.Sprintf("slot %4d: rejoin p%d", e.Slot, e.Proc)
 	case EvPartition:
-		return fmt.Sprintf("slot %4d: partition into %d regions", e.Slot, len(e.Groups))
+		return fmt.Sprintf("slot %4d: partition %v", e.Slot, e.Groups)
 	case EvPartialHeal:
-		return fmt.Sprintf("slot %4d: partial heal to %d regions", e.Slot, len(e.Groups))
+		return fmt.Sprintf("slot %4d: partial heal to %v", e.Slot, e.Groups)
 	case EvHeal:
 		return fmt.Sprintf("slot %4d: heal", e.Slot)
 	case EvFaultOpen:
 		return fmt.Sprintf("slot %4d: fault window open (drop=%.2f dup=%.2f)", e.Slot, e.Drop, e.Dup)
+	case EvResize:
+		return fmt.Sprintf("slot %4d: resize to %d shards", e.Slot, e.Shards)
 	default:
 		return fmt.Sprintf("slot %4d: fault window closed", e.Slot)
 	}
@@ -219,6 +242,16 @@ func (s ScenarioSpec) normalize() ScenarioSpec {
 		}
 		s.Faults = &f
 	}
+	if s.Chaos != nil {
+		c := *s.Chaos
+		if c.Events <= 0 {
+			c.Events = 12
+		}
+		if c.Drop == 0 && c.Dup == 0 {
+			c.Drop, c.Dup = 0.2, 0.2
+		}
+		s.Chaos = &c
+	}
 	if s.Regions != nil {
 		r := *s.Regions
 		if r.Regions < 2 {
@@ -260,10 +293,23 @@ func regionGroups(n, k, merged int) [][]int {
 	return groups
 }
 
+// procs lists the replicas in [0, n) whose mark equals want, in id
+// order.
+func procs(n int, marked map[int]bool, want bool) []int {
+	var ps []int
+	for p := 0; p < n; p++ {
+		if marked[p] == want {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
 // Compile turns the spec into its deterministic timeline. Three
 // independent rng streams — events, issuers, keys — keep each
 // dimension stable when another's spec changes how much randomness it
-// consumes (the same discipline as the chaos harness).
+// consumes. Chaos draws last from the events stream, so adding it
+// leaves every other dimension's events where they were.
 func (s ScenarioSpec) Compile() Timeline {
 	s = s.normalize()
 	evRng := rand.New(rand.NewSource(s.Seed ^ 0x5c4ed0))
@@ -286,22 +332,12 @@ func (s ScenarioSpec) Compile() Timeline {
 		for _, slot := range slots {
 			retire := len(down) == 0 || (len(down) < maxDown && evRng.Intn(2) == 0)
 			if retire {
-				var live []int
-				for p := 0; p < s.N; p++ {
-					if !down[p] {
-						live = append(live, p)
-					}
-				}
+				live := procs(s.N, down, false)
 				p := live[evRng.Intn(len(live))]
 				down[p] = true
 				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvRetire, Proc: p})
 			} else {
-				var gone []int
-				for p := 0; p < s.N; p++ {
-					if down[p] {
-						gone = append(gone, p)
-					}
-				}
+				gone := procs(s.N, down, true)
 				p := gone[evRng.Intn(len(gone))]
 				delete(down, p)
 				tl.Events = append(tl.Events, Event{Slot: slot, Kind: EvRejoin, Proc: p})
@@ -309,12 +345,7 @@ func (s ScenarioSpec) Compile() Timeline {
 		}
 		// Rejoin everyone still down, before the end of the timeline,
 		// so final repair starts from a fully-live cluster.
-		var gone []int
-		for p := range down {
-			gone = append(gone, p)
-		}
-		sort.Ints(gone)
-		for _, p := range gone {
+		for _, p := range procs(s.N, down, true) {
 			tl.Events = append(tl.Events, Event{Slot: s.Ops - 1, Kind: EvRejoin, Proc: p})
 		}
 	}
@@ -355,8 +386,6 @@ func (s ScenarioSpec) Compile() Timeline {
 		}
 	}
 
-	sort.SliceStable(tl.Events, func(i, j int) bool { return tl.Events[i].Slot < tl.Events[j].Slot })
-
 	// Flash-crowd windows, precomputed per slot: which crowd (if any)
 	// covers it.
 	type crowd struct {
@@ -389,6 +418,74 @@ func (s ScenarioSpec) Compile() Timeline {
 			crowds = append(crowds, crowd{from: start, to: start + width, flo: flo, fhi: flo + focus, pFlash: pf})
 		}
 	}
+
+	// Chaos: walk the chosen slots in order, picking uniformly among
+	// the actions the earlier picks left feasible. The enumeration
+	// order is fixed, so the pick is seed-stable.
+	if c := s.Chaos; c != nil {
+		slots := make([]int, c.Events)
+		for i := range slots {
+			slots[i] = evRng.Intn(s.Ops)
+		}
+		sort.Ints(slots)
+		down := map[int]bool{}
+		partitioned, faulted := false, false
+		for _, slot := range slots {
+			var kinds []EventKind
+			if len(down) < s.N-1 {
+				kinds = append(kinds, EvRetire)
+			}
+			if len(down) > 0 {
+				kinds = append(kinds, EvRejoin)
+			}
+			if partitioned {
+				kinds = append(kinds, EvHeal)
+			} else if s.N >= 2 {
+				kinds = append(kinds, EvPartition)
+			}
+			if faulted {
+				kinds = append(kinds, EvFaultClose)
+			} else {
+				kinds = append(kinds, EvFaultOpen)
+			}
+			ev := Event{Slot: slot, Kind: kinds[evRng.Intn(len(kinds))]}
+			switch ev.Kind {
+			case EvRetire:
+				live := procs(s.N, down, false)
+				ev.Proc = live[evRng.Intn(len(live))]
+				down[ev.Proc] = true
+			case EvRejoin:
+				gone := procs(s.N, down, true)
+				ev.Proc = gone[evRng.Intn(len(gone))]
+				delete(down, ev.Proc)
+			case EvPartition:
+				// A random non-trivial two-sided split.
+				side := map[int]bool{}
+				for p := 0; p < s.N; p++ {
+					if evRng.Intn(2) == 0 {
+						side[p] = true
+					}
+				}
+				if len(side) == 0 || len(side) == s.N {
+					side = map[int]bool{evRng.Intn(s.N): true}
+				}
+				ev.Groups = [][]int{procs(s.N, side, true), procs(s.N, side, false)}
+				partitioned = true
+			case EvHeal:
+				partitioned = false
+			case EvFaultOpen:
+				ev.Drop, ev.Dup = c.Drop, c.Dup
+				faulted = true
+			case EvFaultClose:
+				faulted = false
+			}
+			tl.Events = append(tl.Events, ev)
+		}
+	}
+	if s.Resize > 0 {
+		tl.Events = append(tl.Events, Event{Slot: s.Ops / 2, Kind: EvResize, Shards: s.Resize})
+	}
+	sort.SliceStable(tl.Events, func(i, j int) bool { return tl.Events[i].Slot < tl.Events[j].Slot })
 
 	// Per-slot issuers: skew-class weighted sampling, overridden by an
 	// active flash crowd with its crowd-share probability.
@@ -470,27 +567,21 @@ func (tl *Timeline) EventsAt(slot int) []Event {
 func Presets() map[string]ScenarioSpec {
 	return map[string]ScenarioSpec{
 		"churn": {
-			Name:  "churn",
 			Churn: &ChurnSpec{Events: 12},
 		},
 		"flash": {
-			Name:  "flash",
 			Flash: &FlashSpec{Crowds: 3, Width: 0.15, Boost: 10, Focus: 0.25},
 		},
 		"zipf-hot": {
-			Name: "zipf-hot",
 			Zipf: &ZipfSpec{S: 3.0, V: 1},
 		},
 		"regions": {
-			Name:    "regions",
 			Regions: &RegionSpec{Regions: 3, Cycles: 2, PartialHeals: true},
 		},
 		"skew": {
-			Name: "skew",
 			Skew: &SkewSpec{MaxSkew: 4},
 		},
 		"mixed": {
-			Name:    "mixed",
 			Churn:   &ChurnSpec{Events: 8},
 			Flash:   &FlashSpec{Crowds: 2, Width: 0.1, Boost: 8, Focus: 0.25},
 			Zipf:    &ZipfSpec{S: 1.8, V: 2},
